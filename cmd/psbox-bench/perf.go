@@ -35,7 +35,8 @@ import (
 
 // perfResult is one benchmark's summary. "Event" means one fired engine
 // event for the heap benchmarks, one retrieved DAQ sample for the meter
-// benchmark, and one whole-repo lint pass for the lint benchmark.
+// benchmark, one whole-repo lint pass for the lint benchmark, and one
+// whole-rail join or fold for the obs benchmarks.
 type perfResult struct {
 	Bench          string  `json:"bench"`
 	Events         int     `json:"events"`
@@ -314,26 +315,25 @@ func benchTracedRail(b *testing.B) (sys *psbox.System, samples []power.Sample, p
 	return sys, samples, sys.Meter.Period(), gaps
 }
 
-// benchObsBlameJoin measures the attribution joiner: one op = one DAQ
-// sample window joined against the full span timeline (occupancy split,
-// union coverage, dropout check), rotating over the traced run's
-// precomputed samples.
+// benchObsBlameJoin measures the attribution joiner: one op = one
+// whole-rail join of the traced run's samples against its span timeline
+// (edge sort, then per-window occupancy split, coverage and dropout
+// check), the call System.Blame makes.
 func benchObsBlameJoin(b *testing.B) {
 	sys, samples, period, gaps := benchTracedRail(b)
 	intervals := obs.IntervalsFromEvents(sys.Trace.Events(), "cpu")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(samples)
-		_ = obs.Attribute(samples[j:j+1], period, intervals, gaps)
+		_ = obs.Attribute(samples, period, intervals, gaps)
 	}
 }
 
 // benchObsProfileFold measures the energy profiler's fold: one op = one
-// sample window folded into the weighted app → component → rail tree
-// (span selection, per-component occupancy, idle remainder), rotating
-// over the same precomputed samples as obs/blame-join so the two rows
-// compare like for like.
+// whole-rail fold of the traced run into the weighted app → component →
+// rail tree (span selection, edge sort, per-component occupancy, idle
+// remainder), the call System.FoldProfile makes, over the same samples as
+// obs/blame-join so the two rows compare like for like.
 func benchObsProfileFold(b *testing.B) {
 	sys, samples, period, gaps := benchTracedRail(b)
 	events := sys.Trace.Events()
@@ -348,8 +348,7 @@ func benchObsProfileFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(samples)
-		p.FoldRail("cpu", samples[j:j+1], period, events, gaps, ownerName)
+		p.FoldRail("cpu", samples, period, events, gaps, ownerName)
 	}
 }
 

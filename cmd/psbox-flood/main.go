@@ -86,23 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// prng is a splitmix64 stream: the flood's only randomness, wholly
-// derived from the seed so the arrival plan is a pure function of it.
-type prng struct{ s uint64 }
-
-func (p *prng) next() uint64 {
-	p.s += 0x9e3779b97f4a7c15
-	z := p.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-func (p *prng) intn(n int) int { return int(p.next() % uint64(n)) }
-
 // arrival is one planned session launch.
 type arrival struct {
 	at     psbox.Time
@@ -192,7 +175,7 @@ func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.T
 	// enforced against; their budgets overcommit the capacity and
 	// admission control arbitrates as residents retire or get
 	// quarantined.
-	rnd := &prng{s: seed}
+	rnd := sim.NewRand(seed) // the flood's only randomness: the plan is a pure function of the seed
 	kinds := []struct {
 		kind   string
 		budget float64
@@ -210,15 +193,15 @@ func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.T
 	}
 	span := int64(float64(horizon) * 0.5)
 	for i := 0; i < n; i++ {
-		k := kinds[rnd.intn(len(kinds))]
-		at := psbox.Time(int64(i+1)*span/int64(n+1) + int64(rnd.intn(7))*int64(psbox.Millisecond))
+		k := kinds[rnd.Intn(len(kinds))]
+		at := psbox.Time(int64(i+1)*span/int64(n+1) + int64(rnd.Intn(7))*int64(psbox.Millisecond))
 		plan = append(plan, arrival{at: at, kind: k.kind,
 			name: fmt.Sprintf("%s-%d", k.kind, i+1), budget: k.budget})
 	}
 
 	for _, a := range plan {
 		a := a
-		reps := 25 + rnd.intn(30) // finite steadies live ~150-330 ms
+		reps := 25 + rnd.Intn(30) // finite steadies live ~150-330 ms
 		spec := specFor(a, reps)
 		launch := func(psbox.Time) { _, _ = mgr.Launch(spec) }
 		if a.at == 0 {

@@ -10,9 +10,8 @@
 package account
 
 import (
-	"sort"
-
 	"psbox/internal/hw/power"
+	"psbox/internal/obs"
 	"psbox/internal/sim"
 )
 
@@ -33,18 +32,12 @@ const (
 	PolicyEvenSplit
 )
 
-// Span is one occupancy interval of one app on the metered hardware (a
-// core occupancy, a command execution, a frame airtime). Spans of
-// different owners may overlap — that overlap is the entanglement.
-type Span struct {
-	Owner      int
-	Start, End sim.Time
-}
-
-// Recorder accumulates occupancy spans for one rail. Drivers feed it via
-// their usage callbacks.
+// Recorder accumulates occupancy spans for one rail: one interval per
+// core occupancy, command execution or frame airtime of one app on the
+// metered hardware. Spans of different owners may overlap — that overlap
+// is the entanglement. Drivers feed it via their usage callbacks.
 type Recorder struct {
-	spans []Span
+	spans []obs.Interval
 }
 
 // Record appends a span; zero- or negative-length spans are dropped.
@@ -52,7 +45,7 @@ func (r *Recorder) Record(owner int, start, end sim.Time) {
 	if end <= start {
 		return
 	}
-	r.spans = append(r.spans, Span{Owner: owner, Start: start, End: end})
+	r.spans = append(r.spans, obs.Interval{Start: start, End: end, Owner: owner})
 }
 
 // Len reports the number of recorded spans.
@@ -60,7 +53,7 @@ func (r *Recorder) Len() int { return len(r.spans) }
 
 // Spans returns the recorded spans (shared slice; callers must not
 // mutate). Trace rendering uses this to draw multiplexing timelines.
-func (r *Recorder) Spans() []Span { return r.spans }
+func (r *Recorder) Spans() []obs.Interval { return r.spans }
 
 // Accountant divides one rail's metered power among apps.
 type Accountant struct {
@@ -70,23 +63,17 @@ type Accountant struct {
 	Policy Policy
 }
 
-type edge struct {
-	at    sim.Time
-	owner int
-	delta int
-}
-
 // Shares returns each app's attributed energy over [from, to).
 func (a *Accountant) Shares(from, to sim.Time) map[int]power.Joules {
 	out := make(map[int]power.Joules)
-	a.walk(from, to, func(owner int, e power.Joules) { out[owner] += e })
+	a.each(from, to, func(_ sim.Time, owner int, e power.Joules) { out[owner] += e })
 	return out
 }
 
 // AppEnergy returns one app's attributed energy over [from, to).
 func (a *Accountant) AppEnergy(owner int, from, to sim.Time) power.Joules {
 	var total power.Joules
-	a.walk(from, to, func(o int, e power.Joules) {
+	a.each(from, to, func(_ sim.Time, o int, e power.Joules) {
 		if o == owner {
 			total += e
 		}
@@ -105,9 +92,8 @@ func (a *Accountant) Series(owner int, from, to sim.Time, step sim.Duration) []p
 		return nil
 	}
 	energy := make([]power.Joules, nBuckets)
-	a.walkWindows(from, to, func(wStart sim.Time, shares map[int]power.Joules) {
-		e, ok := shares[owner]
-		if !ok {
+	a.each(from, to, func(wStart sim.Time, o int, e power.Joules) {
+		if o != owner {
 			return
 		}
 		b := int(wStart.Sub(from) / step)
@@ -126,24 +112,11 @@ func (a *Accountant) Series(owner int, from, to sim.Time, step sim.Duration) []p
 	return out
 }
 
-func (a *Accountant) walk(from, to sim.Time, emit func(owner int, e power.Joules)) {
-	a.walkWindows(from, to, func(_ sim.Time, shares map[int]power.Joules) {
-		// Emit in sorted-owner order so callers that fold the stream into
-		// order-sensitive state (float totals, output) stay deterministic.
-		owners := make([]int, 0, len(shares))
-		for o := range shares {
-			owners = append(owners, o)
-		}
-		sort.Ints(owners)
-		for _, o := range owners {
-			emit(o, shares[o])
-		}
-	})
-}
-
-// walkWindows replays the recorded spans window by window, dividing each
-// window's rail energy by the active policy.
-func (a *Accountant) walkWindows(from, to sim.Time, emit func(wStart sim.Time, shares map[int]power.Joules)) {
+// each divides the rail energy of every window of [from, to) by the
+// policy and emits each owner's nonzero share, owners ascending within a
+// window. Windows that drew no energy are skipped without a sweep query;
+// the next query applies their edges.
+func (a *Accountant) each(from, to sim.Time, emit func(wStart sim.Time, owner int, e power.Joules)) {
 	if to <= from {
 		return
 	}
@@ -151,118 +124,35 @@ func (a *Accountant) walkWindows(from, to sim.Time, emit func(wStart sim.Time, s
 	if w <= 0 {
 		w = 10 * sim.Microsecond
 	}
-	// Build the span edge list once, sorted by time.
-	edges := make([]edge, 0, 2*len(a.Rec.spans))
-	for _, s := range a.Rec.spans {
-		edges = append(edges, edge{at: s.Start, owner: s.Owner, delta: +1})
-		edges = append(edges, edge{at: s.End, owner: s.Owner, delta: -1})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
-
-	active := make(map[int]int)    // owner → overlapping span count
-	usage := make(map[int]float64) // per-window usage seconds
-	ei := 0
-	lastUser := -1
-	// Fast-forward edges before `from`, maintaining active set and last
-	// user.
-	for ei < len(edges) && edges[ei].at <= from {
-		e := edges[ei]
-		active[e.owner] += e.delta
-		if active[e.owner] <= 0 {
-			delete(active, e.owner)
-			lastUser = e.owner
-		}
-		ei++
-	}
-	for wStart := from; wStart < to; wStart = wStart.Add(w) {
-		wEnd := wStart.Add(w)
-		if wEnd > to {
-			wEnd = to
-		}
-		for o := range usage {
-			delete(usage, o)
-		}
-		cursor := wStart
-		for ei < len(edges) && edges[ei].at < wEnd {
-			e := edges[ei]
-			dt := e.at.Sub(cursor).Seconds()
-			if dt > 0 {
-				for o, n := range active {
-					if n > 0 {
-						usage[o] += dt * float64(n)
-					}
-				}
-				cursor = e.at
-			}
-			active[e.owner] += e.delta
-			if active[e.owner] <= 0 {
-				delete(active, e.owner)
-				lastUser = e.owner
-			}
-			ei++
-		}
-		if dt := wEnd.Sub(cursor).Seconds(); dt > 0 {
-			for o, n := range active {
-				if n > 0 {
-					usage[o] += dt * float64(n)
-				}
-			}
-		}
-		energy := a.Rail.EnergyBetween(wStart, wEnd)
+	sw := obs.NewSweep(a.Rec.spans)
+	for lo := from; lo < to; lo = lo.Add(w) {
+		hi := min(lo.Add(w), to)
+		energy := a.Rail.EnergyBetween(lo, hi)
 		if energy <= 0 {
 			continue
 		}
-		shares := a.divide(energy, usage, lastUser)
-		if len(shares) > 0 {
-			emit(wStart, shares)
-		}
-	}
-}
-
-func (a *Accountant) divide(energy power.Joules, usage map[int]float64, lastUser int) map[int]power.Joules {
-	switch a.Policy {
-	case PolicyEvenSplit:
-		if len(usage) == 0 {
-			return nil
-		}
-		per := energy / float64(len(usage))
-		out := make(map[int]power.Joules, len(usage))
-		for o := range usage {
-			out[o] = per
-		}
-		return out
-	case PolicyUsageShareTail:
-		if len(usage) == 0 {
-			if lastUser < 0 {
-				return nil
+		uses, _ := sw.Window(lo, hi)
+		switch {
+		case len(uses) == 0 && a.Policy == PolicyUsageShareTail:
+			if owner, ok := sw.LastIdle(); ok {
+				emit(lo, owner, energy)
 			}
-			return map[int]power.Joules{lastUser: energy}
+		case a.Policy == PolicyEvenSplit:
+			for _, u := range uses {
+				emit(lo, u.Owner, energy/float64(len(uses)))
+			}
+		default:
+			// Total usage in float seconds, summed in ascending-owner
+			// order: float addition is not associative, so any other
+			// order would move each app's share in the last bits between
+			// seeded runs.
+			var total float64
+			for _, u := range uses {
+				total += u.Occ.Seconds()
+			}
+			for _, u := range uses {
+				emit(lo, u.Owner, energy*u.Occ.Seconds()/total)
+			}
 		}
-		return a.usageShares(energy, usage)
-	default: // PolicyUsageShare
-		if len(usage) == 0 {
-			return nil
-		}
-		return a.usageShares(energy, usage)
 	}
-}
-
-func (a *Accountant) usageShares(energy power.Joules, usage map[int]float64) map[int]power.Joules {
-	// Sum in sorted-owner order: float addition is not associative, so a
-	// map-order sum would make each app's share depend on iteration order
-	// and two seeded runs would differ in the last bits.
-	owners := make([]int, 0, len(usage))
-	for o := range usage {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	var total float64
-	for _, o := range owners {
-		total += usage[o]
-	}
-	out := make(map[int]power.Joules, len(usage))
-	for _, o := range owners {
-		out[o] = energy * usage[o] / total
-	}
-	return out
 }

@@ -169,3 +169,22 @@ func TestWindowClippingAtRangeEnd(t *testing.T) {
 		t.Fatalf("energy = %v", got)
 	}
 }
+
+// AppEnergy sorts the span edges once per call and answers every window
+// from the sweep, so its allocations must not grow with the number of
+// windows queried: 100 windows and 10 000 windows cost the same.
+func TestAppEnergyAllocsIndependentOfWindows(t *testing.T) {
+	e, rail, rec := setup(t, 1.0)
+	e.Run(sim.Time(100 * ms))
+	for i := 0; i < 50; i++ {
+		start := sim.Time(i) * sim.Time(2*ms)
+		rec.Record(1+i%3, start, start.Add(3*ms))
+	}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	allocs := func(to sim.Time) float64 {
+		return testing.AllocsPerRun(10, func() { acc.AppEnergy(1, 0, to) })
+	}
+	if few, many := allocs(sim.Time(1*ms)), allocs(sim.Time(100*ms)); many != few {
+		t.Fatalf("AppEnergy allocs: %v over 100 windows, %v over 10000", few, many)
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	psbox "psbox"
-	"psbox/internal/account"
+	"psbox/internal/obs"
 	"psbox/internal/sim"
 	"psbox/internal/trace"
 )
@@ -32,7 +32,7 @@ type Fig7Result struct {
 
 // overlapMs computes the duration (ms) during which both the victim and
 // any other owner have at least one active span.
-func overlapMs(spans []account.Span, victim int) float64 {
+func overlapMs(spans []obs.Interval, victim int) float64 {
 	type edge struct {
 		at     sim.Time
 		victim bool

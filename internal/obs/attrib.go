@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"psbox/internal/hw/power"
 	"psbox/internal/sim"
@@ -44,84 +43,41 @@ type Blame struct {
 // window was covered at all; the uncovered remainder — idle floor power —
 // goes to owner 0. Shares therefore sum to exactly 1.0 per sample, which
 // the edge-case tests assert across context switches, DVFS overlap, and
-// dropout gaps.
+// dropout gaps. Samples must come in increasing time order, as
+// Meter.Samples returns them.
 func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval, gaps []Gap) []Blame {
 	if period <= 0 {
 		panic("obs: attribution needs a positive sample period")
 	}
+	sw := NewSweep(intervals)
 	out := make([]Blame, 0, len(samples))
 	for _, s := range samples {
 		lo, hi := s.T, s.T.Add(period)
-		occ := make(map[int]sim.Duration)
-		var clipped []Interval
+		uses, covered := sw.Window(lo, hi)
 		var total sim.Duration
-		for _, iv := range intervals {
-			a, b := iv.Start, iv.End
-			if a < lo {
-				a = lo
-			}
-			if b > hi {
-				b = hi
-			}
-			if b <= a {
-				continue
-			}
-			occ[iv.Owner] += b.Sub(a)
-			total += b.Sub(a)
-			clipped = append(clipped, Interval{Start: a, End: b, Owner: iv.Owner})
+		for _, u := range uses {
+			total += u.Occ
 		}
-		covered := union(clipped)
-		window := hi.Sub(lo)
-		bl := Blame{T: s.T, W: s.W, Degraded: overlapsGap(lo, hi, gaps)}
-		idle := float64(window-covered) / float64(window)
-		owners := make([]int, 0, len(occ))
-		for o := range occ {
-			owners = append(owners, o)
-		}
-		sort.Ints(owners)
-		activeFrac := float64(covered) / float64(window)
-		for _, o := range owners {
-			frac := float64(occ[o]) / float64(total) * activeFrac
-			if o == 0 {
+		idle := float64(period-covered) / float64(period)
+		activeFrac := float64(covered) / float64(period)
+		shares := make([]Share, 1, 1+len(uses))
+		for _, u := range uses {
+			frac := float64(u.Occ) / float64(total) * activeFrac
+			if u.Owner == 0 {
 				idle += frac
 				continue
 			}
-			bl.Shares = append(bl.Shares, Share{Owner: o, Frac: frac})
+			shares = append(shares, Share{Owner: u.Owner, Frac: frac})
 		}
-		bl.Shares = append([]Share{{Owner: 0, Frac: idle}}, bl.Shares...)
-		out = append(out, bl)
+		shares[0] = Share{Owner: 0, Frac: idle}
+		out = append(out, Blame{T: s.T, W: s.W, Shares: shares, Degraded: OverlapsGap(lo, hi, gaps)})
 	}
 	return out
 }
 
-// union measures the merged coverage of intervals already clipped to one
-// window.
-func union(ivs []Interval) sim.Duration {
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
-	})
-	var d sim.Duration
-	curA, curB := ivs[0].Start, ivs[0].End
-	for _, iv := range ivs[1:] {
-		if iv.Start > curB {
-			d += curB.Sub(curA)
-			curA, curB = iv.Start, iv.End
-			continue
-		}
-		if iv.End > curB {
-			curB = iv.End
-		}
-	}
-	return d + curB.Sub(curA)
-}
-
-func overlapsGap(lo, hi sim.Time, gaps []Gap) bool {
+// OverlapsGap reports whether the window [lo, hi) overlaps any gap; a
+// window that only touches a gap's edge does not.
+func OverlapsGap(lo, hi sim.Time, gaps []Gap) bool {
 	for _, g := range gaps {
 		if g.From < hi && g.To > lo {
 			return true

@@ -16,8 +16,10 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"psbox/internal/hw/power"
@@ -114,19 +116,27 @@ func (p *Profiler) Degraded() uint64 {
 	return p.degraded
 }
 
-// ownerComp identifies one (owner, component) occupant within a window.
+// ownerComp identifies one (owner, component) occupant of a rail.
 type ownerComp struct {
 	owner int
 	comp  string
 }
 
+func compareOwnerComp(a, b ownerComp) int {
+	if c := cmp.Compare(a.owner, b.owner); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.comp, b.comp)
+}
+
 // FoldRail folds one rail's samples against the trace's span events: each
 // sample window [T, T+period) is split among the (owner, component)
-// pairs active in it — occupancy fraction scaled by coverage, exactly the
-// obs.Attribute arithmetic, but keyed one level deeper so the tree
-// separates an app's scheduler time from its accelerator commands — and
-// the uncovered remainder is booked to the idle floor. Each share times
-// the sampled watts times the period is the window's energy contribution.
+// pairs active in it — occupancy fraction scaled by coverage, the
+// obs.Attribute arithmetic, but with each pair a sweep owner of its own so
+// the tree separates an app's scheduler time from its accelerator commands
+// — and the uncovered remainder is booked to the idle floor. Each share
+// times the sampled watts times the period is the window's energy
+// contribution.
 //
 // events is the full trace; FoldRail selects the spans on rail itself.
 // ownerName maps owner IDs to app names (owner 0 is conventionally
@@ -139,103 +149,56 @@ func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Dura
 	if period <= 0 {
 		panic("profile: fold needs a positive sample period")
 	}
-	type span struct {
-		start, end sim.Time
-		oc         ownerComp
-	}
-	var spans []span
+	onRail := func(ev obs.Event) bool { return ev.Type == obs.TypeSpan && ev.Rail == rail }
+	// Number the pairs in sorted (owner, comp) order and hand the sweep
+	// those numbers as owner IDs: a window's answer then lists the pairs
+	// in that order, so every key's float accumulation sequence is fixed
+	// by sim time and this order, never by map iteration.
+	var pairs []ownerComp
 	for _, ev := range events {
-		if ev.Type != obs.TypeSpan || ev.Rail != rail {
+		if !onRail(ev) {
 			continue
 		}
-		spans = append(spans, span{start: ev.T, end: ev.End, oc: ownerComp{ev.Owner, ev.Cat}})
+		oc := ownerComp{ev.Owner, ev.Cat}
+		if i, found := slices.BinarySearchFunc(pairs, oc, compareOwnerComp); !found {
+			pairs = slices.Insert(pairs, i, oc)
+		}
 	}
+	var ivs []obs.Interval
+	for _, ev := range events {
+		if onRail(ev) {
+			i, _ := slices.BinarySearchFunc(pairs, ownerComp{ev.Owner, ev.Cat}, compareOwnerComp)
+			ivs = append(ivs, obs.Interval{Start: ev.T, End: ev.End, Owner: i})
+		}
+	}
+	keys := make([]Key, len(pairs))
+	for i, oc := range pairs {
+		keys[i] = Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}
+	}
+	idleKey := Key{App: IdleApp, Comp: IdleComp, Rail: rail}
+
+	sw := obs.NewSweep(ivs)
 	for _, s := range samples {
 		lo, hi := s.T, s.T.Add(period)
-		window := hi.Sub(lo)
-		occ := make(map[ownerComp]sim.Duration)
-		var clipped []obs.Interval
-		var total sim.Duration
-		for _, sp := range spans {
-			a, b := sp.start, sp.end
-			if a < lo {
-				a = lo
-			}
-			if b > hi {
-				b = hi
-			}
-			if b <= a {
-				continue
-			}
-			occ[sp.oc] += b.Sub(a)
-			total += b.Sub(a)
-			clipped = append(clipped, obs.Interval{Start: a, End: b, Owner: sp.oc.owner})
-		}
-		covered := coverage(clipped)
+		uses, covered := sw.Window(lo, hi)
 		joules := float64(s.W) * period.Seconds()
 		p.windows++
-		if overlapsGap(lo, hi, gaps) {
+		if obs.OverlapsGap(lo, hi, gaps) {
 			p.degraded++
 		}
-
-		// Occupants in sorted (owner, comp) order: every key's float
-		// accumulation sequence is fixed by sim time and this order, never
-		// by map iteration.
-		ocs := make([]ownerComp, 0, len(occ))
-		for oc := range occ {
-			ocs = append(ocs, oc)
+		var total sim.Duration
+		for _, u := range uses {
+			total += u.Occ
 		}
-		sort.Slice(ocs, func(i, j int) bool {
-			if ocs[i].owner != ocs[j].owner {
-				return ocs[i].owner < ocs[j].owner
-			}
-			return ocs[i].comp < ocs[j].comp
-		})
-		activeFrac := float64(covered) / float64(window)
-		for _, oc := range ocs {
-			frac := float64(occ[oc]) / float64(total) * activeFrac
-			p.weights[Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}] += frac * joules
+		activeFrac := float64(covered) / float64(period)
+		for _, u := range uses {
+			frac := float64(u.Occ) / float64(total) * activeFrac
+			p.weights[keys[u.Owner]] += frac * joules
 		}
-		if idle := float64(window-covered) / float64(window); idle > 0 {
-			p.weights[Key{App: IdleApp, Comp: IdleComp, Rail: rail}] += idle * joules
+		if idle := float64(period-covered) / float64(period); idle > 0 {
+			p.weights[idleKey] += idle * joules
 		}
 	}
-}
-
-// coverage measures the merged extent of intervals already clipped to one
-// window (the union arithmetic of the attribution joiner).
-func coverage(ivs []obs.Interval) sim.Duration {
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
-	})
-	var d sim.Duration
-	curA, curB := ivs[0].Start, ivs[0].End
-	for _, iv := range ivs[1:] {
-		if iv.Start > curB {
-			d += curB.Sub(curA)
-			curA, curB = iv.Start, iv.End
-			continue
-		}
-		if iv.End > curB {
-			curB = iv.End
-		}
-	}
-	return d + curB.Sub(curA)
-}
-
-func overlapsGap(lo, hi sim.Time, gaps []obs.Gap) bool {
-	for _, g := range gaps {
-		if g.From < hi && g.To > lo {
-			return true
-		}
-	}
-	return false
 }
 
 // Entries returns the folded tree in canonical (App, Comp, Rail) order.

@@ -1,0 +1,169 @@
+package obs
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"psbox/internal/sim"
+)
+
+// Sweep is the one windowed-occupancy kernel behind every energy
+// attribution view: the baseline accountant (internal/account), the blame
+// joiner (Attribute) and the energy profiler (internal/obs/profile). Each
+// is a fold over the per-window answers of a sweep line across one rail's
+// intervals.
+//
+// The contract:
+//
+//   - Occupancy is integer: an owner's occupancy of a window is the summed
+//     overlap of its intervals with the window, overlapping intervals of
+//     one owner counting with multiplicity. Coverage is the length of the
+//     union of all intervals within the window.
+//   - Owners are numbered densely in ascending ID, and a window's answer
+//     lists them in that order — the order every float accumulation
+//     downstream is fixed by.
+//   - Windows come in increasing time order, possibly with gaps between
+//     them (the meter drops samples around a dropout); a window that
+//     starts before the previous one ended panics.
+//
+// NewSweep sorts the interval edges once; Window then carries the open
+// intervals forward from one window to the next instead of rescanning
+// them, does work in proportion to the owners active in the window, and
+// allocates nothing.
+type Sweep struct {
+	ivs    []Interval     // read in place, never modified
+	edges  []uint32       // 2i is the start of ivs[i], 2i+1 its end; sorted by time
+	rank   []int32        // per interval: its owner's index in owners
+	owners []int          // distinct owner IDs, ascending
+	open   []int          // per rank: intervals open at the sweep line
+	active []int32        // ranks with an open interval, unordered
+	occ    []sim.Duration // per rank: occupancy of the current window
+	hit    []int32        // ranks with occupancy in the current window
+	uses   []Use          // the last window's answer
+	next   int            // first edge not yet applied
+	done   sim.Time       // end of the last window
+	idle   int            // rank whose open count last fell to zero, -1 if none
+}
+
+// Use is one owner's occupancy of a window.
+type Use struct {
+	Owner int
+	Occ   sim.Duration
+}
+
+// NewSweep prepares a sweep over intervals, which it reads in place: the
+// caller must not modify them while the sweep is in use. Intervals that
+// end at or before their start occupy nothing.
+func NewSweep(intervals []Interval) *Sweep {
+	s := &Sweep{ivs: intervals, done: math.MinInt64, idle: -1}
+	for _, iv := range intervals {
+		if r, found := slices.BinarySearch(s.owners, iv.Owner); !found {
+			s.owners = slices.Insert(s.owners, r, iv.Owner)
+		}
+	}
+	s.edges = make([]uint32, 0, 2*len(intervals))
+	s.rank = make([]int32, len(intervals))
+	for i, iv := range intervals {
+		r, _ := slices.BinarySearch(s.owners, iv.Owner)
+		s.rank[i] = int32(r)
+		if iv.End > iv.Start {
+			s.edges = append(s.edges, uint32(i)<<1, uint32(i)<<1|1)
+		}
+	}
+	slices.SortFunc(s.edges, func(a, b uint32) int { return cmp.Compare(s.at(a), s.at(b)) })
+	k := len(s.owners)
+	s.open = make([]int, k)
+	s.occ = make([]sim.Duration, k)
+	s.active = make([]int32, 0, k)
+	s.hit = make([]int32, 0, k)
+	s.uses = make([]Use, 0, k)
+	return s
+}
+
+// Window advances the sweep to [lo, hi) and returns the occupancy of
+// every owner that used the window, in ascending owner order, and the
+// window's coverage. The returned slice is overwritten by the next call.
+func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
+	if lo < s.done || hi < lo {
+		panic(fmt.Sprintf("obs: sweep window [%d, %d) after one ending at %d", lo, hi, s.done))
+	}
+	s.done = hi
+	for _, r := range s.hit {
+		s.occ[r] = 0
+	}
+	s.hit = s.hit[:0]
+	for s.next < len(s.edges) && s.at(s.edges[s.next]) <= lo {
+		s.apply(s.edges[s.next])
+		s.next++
+	}
+	cursor := lo
+	for ; s.next < len(s.edges); s.next++ {
+		e := s.edges[s.next]
+		t := s.at(e)
+		if t >= hi {
+			break
+		}
+		covered += s.accrue(t.Sub(cursor))
+		cursor = t
+		s.apply(e)
+	}
+	covered += s.accrue(hi.Sub(cursor))
+	slices.Sort(s.hit)
+	s.uses = s.uses[:0]
+	for _, r := range s.hit {
+		s.uses = append(s.uses, Use{Owner: s.owners[r], Occ: s.occ[r]})
+	}
+	return s.uses, covered
+}
+
+// LastIdle reports the owner whose last open interval most recently
+// closed before the end of the last window — the tail heuristic's
+// culprit for an idle window — and false if none has closed yet.
+func (s *Sweep) LastIdle() (owner int, ok bool) {
+	if s.idle < 0 {
+		return 0, false
+	}
+	return s.owners[s.idle], true
+}
+
+func (s *Sweep) at(e uint32) sim.Time {
+	if e&1 == 0 {
+		return s.ivs[e>>1].Start
+	}
+	return s.ivs[e>>1].End
+}
+
+func (s *Sweep) apply(e uint32) {
+	r := s.rank[e>>1]
+	if e&1 == 0 {
+		s.open[r]++
+		if s.open[r] == 1 {
+			s.active = append(s.active, r)
+		}
+		return
+	}
+	s.open[r]--
+	if s.open[r] == 0 {
+		i := slices.Index(s.active, r)
+		s.active[i] = s.active[len(s.active)-1]
+		s.active = s.active[:len(s.active)-1]
+		s.idle = int(r)
+	}
+}
+
+// accrue credits dt of the current window to every open interval and
+// returns the part of dt that was covered.
+func (s *Sweep) accrue(dt sim.Duration) sim.Duration {
+	if dt == 0 || len(s.active) == 0 {
+		return 0
+	}
+	for _, r := range s.active {
+		if s.occ[r] == 0 {
+			s.hit = append(s.hit, r)
+		}
+		s.occ[r] += dt * sim.Duration(s.open[r])
+	}
+	return dt
+}

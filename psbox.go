@@ -471,11 +471,7 @@ func (s *System) FoldProfile() {
 			continue
 		}
 		samples := s.Meter.Samples(rail, from, now)
-		var gaps []obs.Gap
-		for _, w := range s.Meter.Dropouts(rail, from, now) {
-			gaps = append(gaps, obs.Gap{From: w.From, To: w.To})
-		}
-		s.Profile.FoldRail(rail, samples, s.Meter.Period(), events, gaps, ownerName)
+		s.Profile.FoldRail(rail, samples, s.Meter.Period(), events, s.gaps(rail, from, now), ownerName)
 	}
 	s.Profile.Advance(now)
 }
@@ -488,12 +484,18 @@ func (s *System) FoldProfile() {
 // spans (and thus the blame) are empty.
 func (s *System) Blame(rail string, from, to Time) []obs.Blame {
 	samples := s.Meter.Samples(rail, from, to)
+	intervals := obs.IntervalsFromEvents(s.Trace.Events(), rail)
+	return obs.Attribute(samples, s.Meter.Period(), intervals, s.gaps(rail, from, to))
+}
+
+// gaps returns the meter dropouts of one rail within [from, to) as the
+// attribution joins' degraded-window gaps.
+func (s *System) gaps(rail string, from, to Time) []obs.Gap {
 	var gaps []obs.Gap
 	for _, w := range s.Meter.Dropouts(rail, from, to) {
 		gaps = append(gaps, obs.Gap{From: w.From, To: w.To})
 	}
-	intervals := obs.IntervalsFromEvents(s.Trace.Events(), rail)
-	return obs.Attribute(samples, s.Meter.Period(), intervals, gaps)
+	return gaps
 }
 
 // Sandboxes returns the system's runtime session manager, building it on
