@@ -1,8 +1,9 @@
 // The -perf mode: microbenchmarks over the simulator's hottest paths —
 // the engine's event heap, the meter's sample retrieval, a whole-repo
-// psbox-lint pass, the sandbox manager's session lifecycle, and the
+// psbox-lint pass, the sandbox manager's session lifecycle, the
 // observability joins (blame attribution and the energy profiler's fold)
-// — rendered as events/sec, ns/event, and allocs/event. The committed
+// and the baseline accountant's budget-monitor query — rendered as
+// events/sec, ns/event, and allocs/event. The committed
 // BENCH_1.json (engine/meter), BENCH_2.json (adds the lint pass),
 // BENCH_3.json (adds sandbox churn), BENCH_4.json (adds the obs joins),
 // and BENCH_5.json (adds the concurrency-contract lint subset) are the
@@ -25,6 +26,7 @@ import (
 	"testing"
 
 	"psbox"
+	"psbox/internal/account"
 	"psbox/internal/analysis"
 	"psbox/internal/hw/power"
 	"psbox/internal/obs"
@@ -35,8 +37,9 @@ import (
 
 // perfResult is one benchmark's summary. "Event" means one fired engine
 // event for the heap benchmarks, one retrieved DAQ sample for the meter
-// benchmark, one whole-repo lint pass for the lint benchmark, and one
-// whole-rail join or fold for the obs benchmarks.
+// benchmark, one whole-repo lint pass for the lint benchmark, one
+// whole-rail join or fold for the obs benchmarks, and one 25 ms Shares
+// call for the accountant benchmark.
 type perfResult struct {
 	Bench          string  `json:"bench"`
 	Events         int     `json:"events"`
@@ -65,6 +68,7 @@ func runPerf(asJSON bool, out io.Writer) {
 		{"sandbox/churn", benchSandboxChurn},
 		{"obs/blame-join", benchObsBlameJoin},
 		{"obs/profile-fold", benchObsProfileFold},
+		{"account/monitor-window", benchAccountMonitorWindow},
 	}
 	enc := json.NewEncoder(out)
 	if asJSON {
@@ -349,6 +353,32 @@ func benchObsProfileFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.FoldRail("cpu", samples, period, events, gaps, ownerName)
+	}
+}
+
+// benchAccountMonitorWindow measures the baseline accountant the way the
+// sandbox budget monitor drives it: one op = one usage-share Shares call
+// over the last 25 ms of the cpu rail of an AM57 System that has run
+// 10 sim-s with co-running CPU apps — a steady hog, and two bursty apps
+// sharing the other core. The System is built and run once, outside the
+// timer, so each op sees the same 10 s of recorded usage history.
+func benchAccountMonitorWindow(b *testing.B) {
+	sys := psbox.NewAM57(1)
+	sys.Kernel.NewApp("hog").Spawn("spin", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}))
+	for i, sleep := range []psbox.Duration{3 * psbox.Millisecond, 7 * psbox.Millisecond} {
+		sys.Kernel.NewApp(fmt.Sprintf("burst%d", i)).Spawn("work", 1, psbox.Loop(
+			psbox.Compute{Cycles: 2e6},
+			psbox.Sleep{D: sleep},
+		))
+	}
+	sys.Run(10 * psbox.Second)
+	acc := sys.Accountant("cpu", account.PolicyUsageShare)
+	to := sys.Now()
+	from := to.Add(-25 * psbox.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = acc.Shares(from, to)
 	}
 }
 

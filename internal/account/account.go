@@ -10,6 +10,9 @@
 package account
 
 import (
+	"fmt"
+	"sort"
+
 	"psbox/internal/hw/power"
 	"psbox/internal/obs"
 	"psbox/internal/sim"
@@ -35,15 +38,22 @@ const (
 // Recorder accumulates occupancy spans for one rail: one interval per
 // core occupancy, command execution or frame airtime of one app on the
 // metered hardware. Spans of different owners may overlap — that overlap
-// is the entanglement. Drivers feed it via their usage callbacks.
+// is the entanglement. Drivers feed it via their usage callbacks, each at
+// the instant the span completes, so spans arrive in End order.
 type Recorder struct {
-	spans []obs.Interval
+	spans []obs.Interval // End ascending
 }
 
-// Record appends a span; zero- or negative-length spans are dropped.
+// Record appends a span; zero- or negative-length spans are dropped. A
+// span ending before the previous one panics: drivers record a span when
+// it completes, so only a bug can produce one.
 func (r *Recorder) Record(owner int, start, end sim.Time) {
 	if end <= start {
 		return
+	}
+	if n := len(r.spans); n > 0 && end < r.spans[n-1].End {
+		panic(fmt.Sprintf("account: span [%d, %d) of owner %d ends before the previous span's end %d",
+			start, end, owner, r.spans[n-1].End))
 	}
 	r.spans = append(r.spans, obs.Interval{Start: start, End: end, Owner: owner})
 }
@@ -85,7 +95,7 @@ func (a *Accountant) AppEnergy(owner int, from, to sim.Time) power.Joules {
 // buckets, for trace plotting.
 func (a *Accountant) Series(owner int, from, to sim.Time, step sim.Duration) []power.Sample {
 	if step <= 0 {
-		step = a.Window
+		step = a.window()
 	}
 	nBuckets := int((to.Sub(from) + step - 1) / step)
 	if nBuckets <= 0 {
@@ -112,28 +122,54 @@ func (a *Accountant) Series(owner int, from, to sim.Time, step sim.Duration) []p
 	return out
 }
 
+// window is the sampling interval, 10 µs when Window is unset.
+func (a *Accountant) window() sim.Duration {
+	if a.Window <= 0 {
+		return 10 * sim.Microsecond
+	}
+	return a.Window
+}
+
 // each divides the rail energy of every window of [from, to) by the
 // policy and emits each owner's nonzero share, owners ascending within a
 // window. Windows that drew no energy are skipped without a sweep query;
 // the next query applies their edges.
+//
+// Its cost follows what [from, to) contains, not the run's history. The
+// usage-share and even-split policies emit nothing for a window no span
+// overlaps, so they sweep only the spans ending after from (a suffix,
+// since spans are End-ordered) and jump from an idle window to the one
+// containing the next busy instant. The tail policy bills idle windows to
+// an owner any earlier span may name, so it sweeps every span and visits
+// every window.
 func (a *Accountant) each(from, to sim.Time, emit func(wStart sim.Time, owner int, e power.Joules)) {
 	if to <= from {
 		return
 	}
-	w := a.Window
-	if w <= 0 {
-		w = 10 * sim.Microsecond
+	w := a.window()
+	rail := a.Rail.Cursor(from, to)
+	spans := a.Rec.spans
+	tail := a.Policy == PolicyUsageShareTail
+	if !tail {
+		spans = spans[sort.Search(len(spans), func(i int) bool { return spans[i].End > from }):]
 	}
-	sw := obs.NewSweep(a.Rec.spans)
+	sw := obs.NewSweep(spans)
 	for lo := from; lo < to; lo = lo.Add(w) {
+		if !tail {
+			next, ok := sw.NextBusy(lo)
+			if !ok || next >= to {
+				return
+			}
+			lo = lo.Add(next.Sub(lo) / w * w)
+		}
 		hi := min(lo.Add(w), to)
-		energy := a.Rail.EnergyBetween(lo, hi)
+		energy := rail.EnergyBetween(lo, hi)
 		if energy <= 0 {
 			continue
 		}
 		uses, _ := sw.Window(lo, hi)
 		switch {
-		case len(uses) == 0 && a.Policy == PolicyUsageShareTail:
+		case len(uses) == 0 && tail:
 			if owner, ok := sw.LastIdle(); ok {
 				emit(lo, owner, energy)
 			}

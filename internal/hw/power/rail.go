@@ -119,11 +119,22 @@ func (r *Rail) EnergyBetween(a, b sim.Time) Joules {
 	if b <= a {
 		return 0
 	}
-	if b > r.eng.Now() {
+	r.checkPast(b)
+	e, _ := r.integrate(r.locate(a), a, b)
+	return e
+}
+
+func (r *Rail) checkPast(t sim.Time) {
+	if t > r.eng.Now() {
 		panic("power: EnergyBetween reaching into the future")
 	}
+}
+
+// integrate sums power over [a, b), a < b, starting from segment i, the
+// one containing a, and returns the energy and the index of the segment
+// the walk stopped in, the last one starting before b.
+func (r *Rail) integrate(i int, a, b sim.Time) (Joules, int) {
 	var e Joules
-	i := r.locate(a)
 	for ; i < len(r.segs); i++ {
 		segStart := r.segs[i].start
 		segEnd := b
@@ -140,6 +151,45 @@ func (r *Rail) EnergyBetween(a, b sim.Time) Joules {
 			break
 		}
 	}
+	return e, i
+}
+
+// Cursor integrates a rail over windows in increasing time order. It
+// walks the segments forward from one window to the next instead of
+// searching for each window's first segment, and each window's energy
+// is bit for bit what EnergyBetween returns for it.
+type Cursor struct {
+	r    *Rail
+	i    int      // segment the last window's walk stopped in
+	done sim.Time // end of the last window
+	end  sim.Time // end of the range the cursor was made for
+}
+
+// Cursor positions a cursor for windows within [from, to). Like
+// EnergyBetween, it panics if to is in the future: it checks the whole
+// range once, so a caller that skips windows still cannot read past now.
+func (r *Rail) Cursor(from, to sim.Time) Cursor {
+	r.checkPast(to)
+	return Cursor{r: r, i: r.locate(from), done: from, end: to}
+}
+
+// EnergyBetween integrates rail power exactly over [a, b). Windows must
+// lie within the cursor's range, and a window must not start before the
+// previous one ended; either mistake panics.
+func (c *Cursor) EnergyBetween(a, b sim.Time) Joules {
+	if b <= a {
+		return 0
+	}
+	if a < c.done || b > c.end {
+		panic(fmt.Sprintf("power: cursor window [%d, %d) outside [%d, %d)", a, b, c.done, c.end))
+	}
+	c.done = b
+	segs := c.r.segs
+	for c.i+1 < len(segs) && segs[c.i+1].start <= a {
+		c.i++
+	}
+	e, i := c.r.integrate(c.i, a, b)
+	c.i = i
 	return e
 }
 

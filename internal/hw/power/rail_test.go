@@ -141,6 +141,8 @@ func TestRailFuturePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { r.PowerAt(11) },
 		func() { _ = r.EnergyBetween(0, 11) },
+		func() { r.Cursor(0, 11) },
+		func() { c := r.Cursor(0, 5); c.EnergyBetween(0, 6) },
 		func() { r.Set(-1) },
 	} {
 		func() {
@@ -151,6 +153,66 @@ func TestRailFuturePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestCursorMatchesEnergyBetween walks seeded rails forward with a cursor
+// and checks every window bit for bit against EnergyBetween. The windows
+// mix the cases the forward walk must get right: windows starting on a
+// segment boundary, gaps between windows, zero-length windows, and a last
+// window ending at now. Some instants carry several sets that coalesce,
+// and some rails are trimmed after the cursor's start.
+func TestCursorMatchesEnergyBetween(t *testing.T) {
+	const horizon = sim.Time(1000)
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		e := sim.NewEngine()
+		r := NewRail(e, "r", float64(rnd.Intn(4))*0.5)
+		var bounds []sim.Time
+		for at := sim.Time(1 + rnd.Intn(40)); at < horizon; at = at.Add(sim.Duration(1 + rnd.Intn(40))) {
+			bounds = append(bounds, at)
+			levels := make([]Watts, 1+rnd.Intn(3))
+			for i := range levels {
+				levels[i] = float64(rnd.Intn(4)) * 0.5
+			}
+			e.At(at, func(sim.Time) {
+				for _, w := range levels {
+					r.Set(w)
+				}
+			})
+		}
+		e.Run(horizon)
+		from := sim.Time(rnd.Intn(100))
+		if rnd.Intn(4) == 0 {
+			r.TrimBefore(sim.Time(rnd.Intn(200)))
+		}
+		c := r.Cursor(from, horizon)
+		for lo := from; lo < horizon; {
+			var hi sim.Time
+			switch rnd.Intn(5) {
+			case 0: // start on the next segment boundary
+				for _, b := range bounds {
+					if b >= lo {
+						lo = b
+						break
+					}
+				}
+				hi = lo.Add(sim.Duration(1 + rnd.Intn(30)))
+			case 1: // skip a gap first
+				lo = lo.Add(sim.Duration(1 + rnd.Intn(80)))
+				hi = lo.Add(sim.Duration(1 + rnd.Intn(30)))
+			case 2: // zero length
+				hi = lo
+			default:
+				hi = lo.Add(sim.Duration(1 + rnd.Intn(60)))
+			}
+			// Clipping ends the walk with a window [lo, now), lo < now.
+			lo, hi = min(lo, horizon-1), min(hi, horizon)
+			if got, want := c.EnergyBetween(lo, hi), r.EnergyBetween(lo, hi); got != want {
+				t.Fatalf("seed %d window [%d, %d): cursor %v, EnergyBetween %v", seed, lo, hi, got, want)
+			}
+			lo = hi
+		}
 	}
 }
 

@@ -94,10 +94,7 @@ func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
 		s.occ[r] = 0
 	}
 	s.hit = s.hit[:0]
-	for s.next < len(s.edges) && s.at(s.edges[s.next]) <= lo {
-		s.apply(s.edges[s.next])
-		s.next++
-	}
+	s.advance(lo)
 	cursor := lo
 	for ; s.next < len(s.edges); s.next++ {
 		e := s.edges[s.next]
@@ -118,6 +115,27 @@ func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
 	return s.uses, covered
 }
 
+// NextBusy advances the sweep line to t, which must not be before the
+// end of the last window, and reports the first instant at or after t at
+// which an interval is open, or false if none is open at t or after it.
+// Every window that ends at or before that instant has no uses, so a
+// caller that only folds windows with uses may skip straight past them.
+func (s *Sweep) NextBusy(t sim.Time) (sim.Time, bool) {
+	if t < s.done {
+		panic(fmt.Sprintf("obs: sweep advanced to %d after a window ending at %d", t, s.done))
+	}
+	s.done = t
+	s.advance(t)
+	switch {
+	case len(s.active) > 0:
+		return t, true
+	case s.next < len(s.edges):
+		// Nothing is open, so the earliest pending edge is a start.
+		return s.at(s.edges[s.next]), true
+	}
+	return 0, false
+}
+
 // LastIdle reports the owner whose last open interval most recently
 // closed before the end of the last window — the tail heuristic's
 // culprit for an idle window — and false if none has closed yet.
@@ -133,6 +151,14 @@ func (s *Sweep) at(e uint32) sim.Time {
 		return s.ivs[e>>1].Start
 	}
 	return s.ivs[e>>1].End
+}
+
+// advance applies every edge at or before t.
+func (s *Sweep) advance(t sim.Time) {
+	for s.next < len(s.edges) && s.at(s.edges[s.next]) <= t {
+		s.apply(s.edges[s.next])
+		s.next++
+	}
 }
 
 func (s *Sweep) apply(e uint32) {

@@ -110,6 +110,49 @@ func TestSweepMatchesClipReference(t *testing.T) {
 	}
 }
 
+// TestSweepNextBusyAgreesWithWindow walks the seeded cases the way the
+// accountant skips idle stretches: from each window start it asks for the
+// next busy instant, checks against the reference that every window
+// ending at or before it has no uses, then jumps to the window containing
+// it, which must have uses, and checks that window's answer.
+func TestSweepNextBusyAgreesWithWindow(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		ivs := randomIntervals(rnd, rnd.Intn(40))
+		period := sim.Duration(5 + rnd.Intn(60))
+		horizon := sim.Time(900 + rnd.Intn(400))
+		sw := NewSweep(ivs)
+		for lo := sim.Time(rnd.Intn(100)); lo < horizon; {
+			next, ok := sw.NextBusy(lo)
+			if ok && next < lo {
+				t.Fatalf("seed %d: next busy instant %d before %d", seed, next, lo)
+			}
+			for ; lo < horizon && (!ok || min(lo.Add(period), horizon) <= next); lo = lo.Add(period) {
+				hi := min(lo.Add(period), horizon)
+				if occ, _ := clipReference(ivs, lo, hi); len(occ) != 0 {
+					t.Fatalf("seed %d: window [%d, %d) before next busy instant %d (ok=%v) has uses %v",
+						seed, lo, hi, next, ok, occ)
+				}
+			}
+			if lo >= horizon {
+				break
+			}
+			hi := min(lo.Add(period), horizon)
+			uses, _ := sw.Window(lo, hi)
+			wantOcc, _ := clipReference(ivs, lo, hi)
+			if len(uses) == 0 || len(uses) != len(wantOcc) {
+				t.Fatalf("seed %d window [%d, %d) holding next busy instant %d: uses %v, want %v", seed, lo, hi, next, uses, wantOcc)
+			}
+			for _, u := range uses {
+				if wantOcc[u.Owner] != u.Occ {
+					t.Fatalf("seed %d window [%d, %d): uses %v, want %v", seed, lo, hi, uses, wantOcc)
+				}
+			}
+			lo = hi
+		}
+	}
+}
+
 func TestSweepLastIdle(t *testing.T) {
 	sw := NewSweep([]Interval{
 		{Start: 0, End: 20, Owner: 2},
