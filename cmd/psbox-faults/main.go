@@ -17,8 +17,8 @@ import (
 	"strings"
 
 	"psbox"
-	"psbox/internal/faults"
 	"psbox/internal/sim"
+	"psbox/internal/soak"
 )
 
 func main() {
@@ -32,60 +32,13 @@ func main() {
 	fmt.Print(buildReport(*seed, *ms))
 }
 
-// buildReport runs the canonical fault scenario and renders the full
-// report. It is the unit the determinism harness snapshots: the golden
-// files under testdata/ hold its output verbatim for two (seed, ms) pairs.
+// buildReport runs the canonical fault scenario (soak.Scenario) and
+// renders the full report. It is the unit the determinism harness
+// snapshots: the golden files under testdata/ hold its output verbatim for
+// two (seed, ms) pairs.
 func buildReport(seed uint64, ms int64) string {
-	sys := psbox.NewMobile(seed)
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
-
-	// A GPU-bound vision pipeline in a sandbox over cpu+gpu.
-	vision := sys.Kernel.NewApp("vision")
-	vision.Spawn("render", 0, psbox.Loop(
-		psbox.Compute{Cycles: 2e6},
-		psbox.SubmitAccel{Dev: "gpu", Kind: "frame", Work: 3e4, DynW: 0.9},
-		psbox.AwaitAccel{Dev: "gpu", MaxBacklog: 2},
-		psbox.Sleep{D: 4 * psbox.Millisecond},
-	))
-	visionBox := sys.Sandbox.MustCreate(vision, psbox.HWCPU, psbox.HWGPU)
-	visionBox.Enter()
-
-	// A streaming uploader in a sandbox over cpu+wifi.
-	stream := sys.Kernel.NewApp("stream")
-	sock := stream.OpenSocket()
-	stream.Spawn("uplink", 1, psbox.Loop(
-		psbox.Compute{Cycles: 8e5},
-		psbox.Send{Socket: sock, Bytes: 24_000},
-		psbox.AwaitNet{MaxBacklog: 48_000},
-		psbox.Sleep{D: 6 * psbox.Millisecond},
-	))
-	streamBox := sys.Sandbox.MustCreate(stream, psbox.HWCPU, psbox.HWWiFi)
-	streamBox.Enter()
-
-	// An unsandboxed competitor keeping the DSP and CPU entangled.
-	noise := sys.Kernel.NewApp("noise")
-	noise.Spawn("grind", 1, psbox.Loop(
-		psbox.Compute{Cycles: 3e6},
-		psbox.SubmitAccel{Dev: "dsp", Kind: "fft", Work: 4e4, DynW: 0.5},
-		psbox.Sleep{D: 9 * psbox.Millisecond},
-	))
-
-	// The fixed fault schedule: one of each kind at staggered instants,
-	// plus a seeded random campaign over the remaining horizon.
 	horizon := sim.Duration(ms) * psbox.Millisecond
-	at := func(frac float64) psbox.Time { return psbox.Time(float64(horizon) * frac) }
-	sys.Faults.HangAccelAt(at(0.10), "gpu")
-	sys.Faults.FlapLinkAt(at(0.25), "wifi", 15*psbox.Millisecond)
-	sys.Faults.StallDVFSAt(at(0.40), "cpu", 25*psbox.Millisecond)
-	sys.Faults.DropMeterAt(at(0.55), "gpu", 30*psbox.Millisecond)
-	sys.Faults.Randomize(faults.Campaign{
-		Horizon:       horizon,
-		AccelHangs:    2,
-		NICFlaps:      2,
-		DVFSStalls:    2,
-		MeterDropouts: 3,
-	})
-
+	sys := soak.Scenario(seed, horizon)
 	sys.Run(horizon)
 
 	var b strings.Builder
@@ -101,7 +54,7 @@ func buildReport(seed uint64, ms int64) string {
 	fmt.Fprintf(&b, "net    flaps=%d retries=%d\n", sys.Kernel.Net().NIC().Flaps(), sys.Kernel.Net().LinkRetries())
 
 	fmt.Fprintln(&b, "== observations ==")
-	for _, bx := range []*psbox.Box{visionBox, streamBox} {
+	for _, bx := range sys.Sandbox.Boxes() {
 		direct, est, gaps := bx.ReadDetail()
 		fmt.Fprintf(&b, "%-7s read=%.9f J direct=%.9f J estimated=%.9f J gaps=%d degraded=%v\n",
 			bx.App().Name, direct+est, direct, est, gaps, bx.Degraded())

@@ -85,6 +85,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-no-such-flag"},
 		{"-ms", "0"},
 		{"-shards", "0"},
+		{"-ms", "1", "-quanta", "2000000"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

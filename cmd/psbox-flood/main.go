@@ -7,20 +7,19 @@
 // report (admission plan, per-session verdicts, enforcement tallies,
 // energy reclaimed) is byte-stable for a (seed, ms) pair.
 //
-// With -soak it additionally runs the crash-and-resume protocol of
-// cmd/psbox-soak: kill the run at 25/50/75% of the horizon, restore from
-// the last periodic checkpoint (rebuild + deterministic replay +
-// byte-verification), run each resumed copy to the horizon, and
-// byte-compare its report against the uninterrupted golden's. The CI
-// flood-soak job diffs the -soak transcript against the goldens under
-// testdata/.
+// With -soak it runs the flood under the crash-and-resume protocol of
+// internal/soak: checkpoints every horizon/10, kills at 25/50/75% of the
+// horizon, restore by replay-twin verification (rebuild, replay,
+// byte-verify), and a byte comparison of each resumed run's report
+// against the uninterrupted golden run's. The CI flood-soak job diffs the
+// -soak transcript against the goldens under testdata/.
 //
 // Usage:
 //
 //	psbox-flood [-seed N] [-ms D] [-soak]
 //
-// Exit status (matching psbox-soak so the fleet supervisor can reuse its
-// triage):
+// Exit status (the protocol verdicts psbox-soak also uses, so the fleet
+// supervisor can reuse its triage):
 //
 //	0  report produced; with -soak, every resumed report matched
 //	1  divergence: a resumed report deviated from the golden run
@@ -34,22 +33,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"psbox"
 	"psbox/internal/obs"
 	"psbox/internal/sandbox"
 	"psbox/internal/sim"
-	"psbox/internal/snapshot"
+	"psbox/internal/soak"
 )
 
-const (
-	exitOK         = 0
-	exitDivergence = 1
-	exitRestore    = 2
-	exitUsage      = 4
-)
+const exitUsage = 4
 
 // capacityW is the flood's admittable power: low enough that the derived
 // arrival schedule overcommits it and admission control has rejections to
@@ -74,16 +67,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	if *soakMode {
-		out, code := soak(*seed, *ms)
+		out, code := transcript(*seed, *ms)
 		fmt.Fprint(stdout, out)
 		return code
 	}
 	horizon := sim.Duration(*ms) * psbox.Millisecond
-	f := build(*seed, horizon, nil)
-	f.sys.Run(horizon)
+	sys, plan := build(*seed, horizon)
+	sys.Run(horizon)
 	fmt.Fprintf(stdout, "psbox-flood seed=%d ms=%d capacity=%.1f W\n\n", *seed, *ms, capacityW)
-	fmt.Fprint(stdout, report(f))
-	return exitOK
+	fmt.Fprint(stdout, report(sys, plan))
+	return soak.ExitOK
 }
 
 // arrival is one planned session launch.
@@ -92,14 +85,6 @@ type arrival struct {
 	kind   string
 	name   string
 	budget float64
-}
-
-// flood is one constructed scenario: the system, its session manager, and
-// the arrival plan the seed derived.
-type flood struct {
-	sys  *psbox.System
-	mgr  *sandbox.Manager
-	plan []arrival
 }
 
 // specFor builds the Spec for an arrival. Kinds:
@@ -155,13 +140,11 @@ func specFor(a arrival, reps int) sandbox.Spec {
 	return spec
 }
 
-// build constructs the flood scenario: the session manager over an AM57
-// system, the seed-derived arrival plan (launches scheduled at fixed
-// absolute times), fault-layer crash campaigns against the crash-loopers,
-// and checkpoint events every horizon/10. As in psbox-soak, the
-// checkpoint instants ride the trace in every run — golden, crashed,
-// resumed — so traces stay byte-identical across the crash protocol.
-func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.Time)) *flood {
+// build constructs the flood scenario and returns it with the arrival plan
+// the seed derived: the session manager over an AM57 system, the plan's
+// launches scheduled at fixed absolute times, fault-layer crash campaigns
+// against the crash-loopers, and an invariant audit every horizon/20.
+func build(seed uint64, horizon sim.Duration) (*psbox.System, []arrival) {
 	sys := psbox.NewAM57(seed)
 	sys.EnableTracing()
 	mgr := sys.Sandboxes()
@@ -220,32 +203,22 @@ func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.T
 	}
 
 	sys.SetAuditEvery(horizon / 20)
-
-	every := horizon / 10
-	for t := psbox.Time(int64(every)); t <= psbox.Time(int64(horizon)); t = t.Add(every) {
-		tt := t
-		sys.Eng.At(tt, func(psbox.Time) {
-			sys.Trace.Instant(obs.CatCkpt, "checkpoint", 0, int64(tt), "", "")
-			if onCkpt != nil {
-				onCkpt(sys, tt)
-			}
-		})
-	}
-	return &flood{sys: sys, mgr: mgr, plan: plan}
+	return sys, plan
 }
 
 // report renders the end-of-run state: the arrival plan, each session's
 // verdict and tallies, the manager's aggregate enforcement counts, the
 // fault log, and trace digests.
-func report(f *flood) string {
+func report(sys *psbox.System, plan []arrival) string {
+	mgr := sys.Sandboxes()
 	var b strings.Builder
 	fmt.Fprintln(&b, "-- plan --")
-	for _, a := range f.plan {
+	for _, a := range plan {
 		fmt.Fprintf(&b, "t=%4d ms  %-12s budget=%.1f W\n",
 			int64(a.at)/int64(psbox.Millisecond), a.name, a.budget)
 	}
 	fmt.Fprintln(&b, "-- sessions --")
-	for _, s := range f.mgr.Sessions() {
+	for _, s := range mgr.Sessions() {
 		fmt.Fprintf(&b, "%-12s %-11s throttles=%d kills=%d restarts=%d",
 			s.Name(), s.State(), s.Throttles(), s.Kills(), s.Restarts())
 		if iters, ok := s.Preserved()["iters"]; ok {
@@ -253,20 +226,20 @@ func report(f *flood) string {
 		}
 		fmt.Fprintln(&b)
 	}
-	st := f.mgr.Stats()
+	st := mgr.Stats()
 	fmt.Fprintln(&b, "-- enforcement --")
 	fmt.Fprintf(&b, "admitted=%d rejected=%d throttled=%d killed=%d restarted=%d quarantined=%d retired=%d\n",
 		st.Admitted, st.Rejected, st.Throttles, st.Kills, st.Restarts, st.Quarantined, st.Retired)
-	fmt.Fprintf(&b, "energy reclaimed=%.9f J headroom=%.2f W\n", st.ReclaimedJ, f.mgr.Headroom())
+	fmt.Fprintf(&b, "energy reclaimed=%.9f J headroom=%.2f W\n", st.ReclaimedJ, mgr.Headroom())
 	fmt.Fprintln(&b, "-- fault log --")
-	b.WriteString(f.sys.Faults.FormatLog())
+	b.WriteString(sys.Faults.FormatLog())
 	fmt.Fprintln(&b, "-- energy --")
 	fmt.Fprintf(&b, "battery=%.9f J audits=%d\n",
-		f.sys.Meter.Energy("battery", 0, f.sys.Now()), f.sys.Audits())
+		sys.Meter.Energy("battery", 0, sys.Now()), sys.Audits())
 	fmt.Fprintln(&b, "-- trace --")
 	fmt.Fprintf(&b, "events=%d retained=%d dropped=%d\n",
-		f.sys.Trace.Total(), f.sys.Trace.Len(), f.sys.Trace.Dropped())
-	d := f.sys.Trace.Dump()
+		sys.Trace.Total(), sys.Trace.Len(), sys.Trace.Dropped())
+	d := sys.Trace.Dump()
 	for _, format := range []string{"perfetto", "csv"} {
 		enc, err := obs.EncoderFor(format)
 		if err != nil {
@@ -281,120 +254,25 @@ func report(f *flood) string {
 	return b.String()
 }
 
-// soak runs the flood under the crash-and-resume protocol and renders a
-// deterministic transcript: the golden report, then for each crash point
-// the checkpoint round-trip, the restore verdict, and the byte-comparison
-// of the resumed report against the golden.
-func soak(seed uint64, ms int64) (string, int) {
+// transcript runs the flood under the crash-and-resume protocol and
+// renders its deterministic transcript plus the exit code for what it
+// found. The arrival plan is a pure function of the seed, so every build's
+// plan is the golden run's.
+func transcript(seed uint64, ms int64) (string, int) {
 	horizon := sim.Duration(ms) * psbox.Millisecond
-	var restoreFail, diverged bool
 	var b strings.Builder
 	fmt.Fprintf(&b, "psbox-flood seed=%d ms=%d capacity=%.1f W soak: checkpoints=every %d ms\n\n",
 		seed, ms, capacityW, ms/10)
-
-	golden := build(seed, horizon, nil)
-	golden.sys.Run(horizon)
-	goldenReport := report(golden)
-	fmt.Fprintln(&b, "== golden ==")
-	b.WriteString(goldenReport)
-
-	tmp, err := os.MkdirTemp("", "psbox-flood-")
-	if err != nil {
-		fmt.Fprintf(&b, "FAIL: checkpoint scratch dir: %v\n", err)
-		return b.String(), exitRestore
-	}
-	defer os.RemoveAll(tmp)
-
-	for _, frac := range []float64{0.25, 0.50, 0.75} {
-		crashAt := sim.Duration(float64(horizon) * frac)
-		fmt.Fprintf(&b, "\n== crash at %d%% ==\n", int(frac*100))
-
-		// The crashed run: killed mid-churn; only the last checkpoint
-		// survives, round-tripped through a file to exercise the
-		// CRC-validated persistence path.
-		var lastBytes []byte
-		var lastAt psbox.Time
-		crashed := build(seed, horizon, func(s *psbox.System, at psbox.Time) {
-			lastBytes, lastAt = s.Snapshot(), at
-		})
-		crashed.sys.Run(crashAt)
-		if lastBytes == nil {
-			fmt.Fprintln(&b, "FAIL: no checkpoint before the crash point")
-			restoreFail = true
-			continue
-		}
-		path := filepath.Join(tmp, fmt.Sprintf("ckpt-%d.psbx", int(frac*100)))
-		if err := snapshot.WriteFile(path, lastBytes); err != nil {
-			fmt.Fprintln(&b, "FAIL: write checkpoint:", err)
-			restoreFail = true
-			continue
-		}
-		restoredBytes, err := snapshot.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(&b, "FAIL: read checkpoint:", err)
-			restoreFail = true
-			continue
-		}
-		fmt.Fprintf(&b, "checkpoint at %d ms (%d bytes, crc ok)\n",
-			int64(lastAt)/int64(psbox.Millisecond), len(restoredBytes))
-
-		// The resumed run: rebuild, replay, byte-verify at the
-		// checkpoint instant, run to the horizon.
-		var restoreErr error
-		restored := false
-		resumed := build(seed, horizon, func(s *psbox.System, at psbox.Time) {
-			if at == lastAt && !restored {
-				restoreErr = s.Restore(restoredBytes)
-				restored = true
-			}
-		})
-		resumed.sys.Run(horizon)
-		switch {
-		case !restored:
-			fmt.Fprintln(&b, "FAIL: resume never reached the checkpoint instant")
-			restoreFail = true
-		case restoreErr != nil:
-			fmt.Fprintf(&b, "FAIL: restore verification: %v\n", restoreErr)
-			restoreFail = true
-		default:
-			fmt.Fprintln(&b, "restore verified")
-		}
-		if got := report(resumed); got != goldenReport {
-			fmt.Fprintln(&b, "FAIL: resumed report diverges from golden:")
-			b.WriteString(diffLines(goldenReport, got))
-			diverged = true
-		} else {
-			fmt.Fprintln(&b, "resumed report identical to golden")
-		}
-	}
-
-	code := exitOK
-	verdict := "ok"
-	switch {
-	case restoreFail:
-		code, verdict = exitRestore, "FAIL"
-	case diverged:
-		code, verdict = exitDivergence, "FAIL"
-	}
-	fmt.Fprintf(&b, "\nverdict: %s\n", verdict)
-	return b.String(), code
-}
-
-// diffLines renders a compact first-divergence view of two reports.
-func diffLines(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var b strings.Builder
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var lw, lg string
-		if i < len(w) {
-			lw = w[i]
-		}
-		if i < len(g) {
-			lg = g[i]
-		}
-		if lw != lg {
-			fmt.Fprintf(&b, "  line %d:\n  - %s\n  + %s\n", i+1, lw, lg)
-		}
-	}
-	return b.String()
+	var plan []arrival
+	res := soak.Protocol{
+		Build: func() *psbox.System {
+			var sys *psbox.System
+			sys, plan = build(seed, horizon)
+			return sys
+		},
+		Report:  func(sys *psbox.System) string { return report(sys, plan) },
+		Horizon: horizon,
+	}.Run(&b)
+	fmt.Fprintf(&b, "\nverdict: %s\n", res)
+	return b.String(), res.Code()
 }

@@ -7,6 +7,7 @@ import (
 
 	"psbox"
 	"psbox/internal/sandbox"
+	"psbox/internal/soak"
 )
 
 // TestReportDeterminism: the flood report is byte-identical across runs
@@ -34,11 +35,12 @@ func TestReportDeterminism(t *testing.T) {
 // the backlog bound.
 func TestEnforcementVerdicts(t *testing.T) {
 	horizon := 1000 * psbox.Millisecond
-	f := build(42, horizon, nil)
-	f.sys.Run(horizon)
+	sys, _ := build(42, horizon)
+	sys.Run(horizon)
+	mgr := sys.Sandboxes()
 
 	kinds := map[string]int{}
-	for _, s := range f.mgr.Sessions() {
+	for _, s := range mgr.Sessions() {
 		kind := s.Name()[:strings.IndexByte(s.Name(), '-')]
 		kinds[kind]++
 		switch kind {
@@ -67,7 +69,7 @@ func TestEnforcementVerdicts(t *testing.T) {
 			t.Errorf("no %s session admitted; enforcement checks vacuous", kind)
 		}
 	}
-	st := f.mgr.Stats()
+	st := mgr.Stats()
 	if st.Rejected == 0 {
 		t.Error("admission control never rejected an arrival")
 	}
@@ -88,8 +90,8 @@ func TestSoakRestoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		ms = 400
 	}
-	out, code := soak(42, ms)
-	if code != exitOK {
+	out, code := transcript(42, ms)
+	if code != soak.ExitOK {
 		t.Fatalf("soak exit %d:\n%s", code, out)
 	}
 	if n := strings.Count(out, "resumed report identical to golden"); n != 3 {
@@ -104,14 +106,15 @@ func TestSoakRestoreEquivalence(t *testing.T) {
 // a flood that starts overcommitted admits late arrivals.
 func TestChurnFreesHeadroom(t *testing.T) {
 	horizon := 1000 * psbox.Millisecond
-	f := build(42, horizon, nil)
-	f.sys.Run(horizon)
+	sys, plan := build(42, horizon)
+	sys.Run(horizon)
+	mgr := sys.Sandboxes()
 	var late bool
-	for _, a := range f.plan {
+	for _, a := range plan {
 		if a.at == 0 {
 			continue
 		}
-		for _, s := range f.mgr.Sessions() {
+		for _, s := range mgr.Sessions() {
 			if s.Name() == a.name {
 				late = true
 			}
@@ -120,7 +123,7 @@ func TestChurnFreesHeadroom(t *testing.T) {
 	if !late {
 		t.Error("no late arrival was ever admitted: churn freed no headroom")
 	}
-	if got := f.mgr.Headroom(); got <= 0 || got > capacityW {
+	if got := mgr.Headroom(); got <= 0 || got > capacityW {
 		t.Errorf("headroom %v out of range (0, %v]", got, capacityW)
 	}
 }

@@ -51,7 +51,8 @@
 //	energyaccum    — every package (internal/meter, core/vmeter.go exempt)
 //	snapshotstate  — every package (escape: //psbox:allow-snapshotstate)
 //	obsdeterminism — instrumented internal subtrees (sim, kernel, hw,
-//	                 meter, faults, core); report via the obs bus instead
+//	                 meter, faults, core, sandbox); report via the obs bus
+//	                 instead
 //	walltaint      — psbox/internal/... (whole-program taint)
 //	unbilledenergy — psbox/internal/... (whole-program pairing)
 //	maporderflow   — every package (whole-program dataflow)

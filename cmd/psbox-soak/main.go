@@ -1,14 +1,13 @@
 //psbox:allow-noconcurrency the hung-run watchdog runs the soak in a goroutine and races it against a wall-clock deadline; the simulation itself stays single-threaded
 
 // Command psbox-soak is the crash-and-resume soak harness: it runs the
-// canonical fault scenario under periodic checkpointing, kills the run at
-// seeded crash points (25/50/75% of the horizon), restores from the last
-// checkpoint (rebuild + deterministic replay + byte-verification, the
-// replay-twin contract of internal/snapshot), runs each resumed copy to
-// the horizon, and byte-compares its final report against the
-// uninterrupted golden run's. It also runs two restored replicas in
-// lockstep, comparing full system snapshots every quantum and reporting
-// the first divergence.
+// canonical fault scenario (soak.Scenario) under the crash-and-resume
+// protocol of internal/soak — checkpoints every horizon/10, kills at
+// 25/50/75% of the horizon, restore by replay-twin verification, and a
+// byte comparison of each resumed run's final report against the
+// uninterrupted golden run's — and then steps two replicas restored from
+// the 50% checkpoint in lockstep, comparing full system snapshots every
+// quantum and reporting the first divergence.
 //
 // All output is deterministic for a (seed, ms) pair; the CI soak job
 // diffs it against the goldens under testdata/.
@@ -33,38 +32,23 @@ package main
 
 import (
 	"crypto/sha256"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"psbox"
-	"psbox/internal/faults"
 	"psbox/internal/obs"
 	"psbox/internal/sim"
-	"psbox/internal/snapshot"
+	"psbox/internal/soak"
 )
 
-// Exit codes. Restore failures outrank divergence: an unverifiable
-// checkpoint makes the divergence comparison itself meaningless.
+// Exit codes beyond the protocol verdicts soak.Result.Code returns.
 const (
-	exitOK         = 0
-	exitDivergence = 1
-	exitRestore    = 2
-	exitTimeout    = 3
-	exitUsage      = 4
-)
-
-// Test seams, nil in production: mangleCheckpoint corrupts the bytes read
-// back from disk (forcing the restore-failure path), mangleReport
-// corrupts a resumed run's report (forcing the divergence path).
-var (
-	mangleCheckpoint func([]byte) []byte
-	mangleReport     func(string) string
+	exitTimeout = 3
+	exitUsage   = 4
 )
 
 func main() {
@@ -94,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// collected even after the watchdog has given up on it.
 	done := make(chan verdict, 1)
 	go func() {
-		out, code := soak(*seed, *ms)
+		out, code := transcript(*seed, *ms)
 		done <- verdict{out, code}
 	}()
 	var deadline <-chan time.Time
@@ -109,74 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "psbox-soak: no verdict after %v; run presumed hung\n", *timeout)
 		return exitTimeout
 	}
-}
-
-// build constructs the soak scenario — the psbox-faults scenario plus a
-// periodic invariant audit and checkpoint events every horizon/10. The
-// checkpoint events are scheduled at construction at fixed absolute
-// times in every run (golden, crashed, resumed, lockstep replicas), so
-// all runs allocate identical engine event sequences; only the callback
-// body differs per run.
-func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.Time)) *psbox.System {
-	sys := psbox.NewMobile(seed)
-	sys.EnableTracing()
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
-
-	vision := sys.Kernel.NewApp("vision")
-	vision.Spawn("render", 0, psbox.Loop(
-		psbox.Compute{Cycles: 2e6},
-		psbox.SubmitAccel{Dev: "gpu", Kind: "frame", Work: 3e4, DynW: 0.9},
-		psbox.AwaitAccel{Dev: "gpu", MaxBacklog: 2},
-		psbox.Sleep{D: 4 * psbox.Millisecond},
-	))
-	sys.Sandbox.MustCreate(vision, psbox.HWCPU, psbox.HWGPU).Enter()
-
-	stream := sys.Kernel.NewApp("stream")
-	sock := stream.OpenSocket()
-	stream.Spawn("uplink", 1, psbox.Loop(
-		psbox.Compute{Cycles: 8e5},
-		psbox.Send{Socket: sock, Bytes: 24_000},
-		psbox.AwaitNet{MaxBacklog: 48_000},
-		psbox.Sleep{D: 6 * psbox.Millisecond},
-	))
-	sys.Sandbox.MustCreate(stream, psbox.HWCPU, psbox.HWWiFi).Enter()
-
-	noise := sys.Kernel.NewApp("noise")
-	noise.Spawn("grind", 1, psbox.Loop(
-		psbox.Compute{Cycles: 3e6},
-		psbox.SubmitAccel{Dev: "dsp", Kind: "fft", Work: 4e4, DynW: 0.5},
-		psbox.Sleep{D: 9 * psbox.Millisecond},
-	))
-
-	at := func(frac float64) psbox.Time { return psbox.Time(float64(horizon) * frac) }
-	sys.Faults.HangAccelAt(at(0.10), "gpu")
-	sys.Faults.FlapLinkAt(at(0.25), "wifi", 15*psbox.Millisecond)
-	sys.Faults.StallDVFSAt(at(0.40), "cpu", 25*psbox.Millisecond)
-	sys.Faults.DropMeterAt(at(0.55), "gpu", 30*psbox.Millisecond)
-	sys.Faults.Randomize(faults.Campaign{
-		Horizon:       horizon,
-		AccelHangs:    2,
-		NICFlaps:      2,
-		DVFSStalls:    2,
-		MeterDropouts: 3,
-	})
-
-	sys.SetAuditEvery(horizon / 20)
-
-	every := horizon / 10
-	for t := psbox.Time(int64(every)); t <= psbox.Time(int64(horizon)); t = t.Add(every) {
-		tt := t
-		sys.Eng.At(tt, func(psbox.Time) {
-			// The checkpoint instant rides the trace in EVERY run — golden,
-			// crashed, resumed, lockstep — before any run-specific callback,
-			// so traces stay byte-identical across the crash protocol.
-			sys.Trace.Instant(obs.CatCkpt, "checkpoint", 0, int64(tt), "", "")
-			if onCkpt != nil {
-				onCkpt(sys, tt)
-			}
-		})
-	}
-	return sys
 }
 
 // report renders the scenario's final state: fault log, recovery
@@ -227,199 +143,20 @@ func report(sys *psbox.System) string {
 	return b.String()
 }
 
-// verdictCode folds the two failure classes into one exit code; restore
-// failures win because they invalidate the comparison divergence is
-// judged by.
-func verdictCode(restoreFail, diverged bool) int {
-	switch {
-	case restoreFail:
-		return exitRestore
-	case diverged:
-		return exitDivergence
-	default:
-		return exitOK
-	}
-}
-
-// soak runs the full crash-and-resume protocol and renders its
-// deterministic transcript plus the exit code for what it found.
-func soak(seed uint64, ms int64) (string, int) {
+// transcript runs the crash-and-resume protocol and the lockstep replica
+// check and renders their deterministic transcript plus the exit code for
+// what they found.
+func transcript(seed uint64, ms int64) (string, int) {
 	horizon := sim.Duration(ms) * psbox.Millisecond
-	var restoreFail, diverged bool
 	var b strings.Builder
 	fmt.Fprintf(&b, "psbox-soak seed=%d ms=%d checkpoints=every %d ms\n\n", seed, ms, ms/10)
-
-	golden := build(seed, horizon, nil)
-	golden.Run(horizon)
-	goldenReport := report(golden)
-	fmt.Fprintln(&b, "== golden ==")
-	b.WriteString(goldenReport)
-
-	tmp, err := os.MkdirTemp("", "psbox-soak-")
-	if err != nil {
-		fmt.Fprintf(&b, "FAIL: checkpoint scratch dir: %v\n", err)
-		return b.String(), exitRestore
+	p := soak.Protocol{
+		Build:   func() *psbox.System { return soak.Scenario(seed, horizon) },
+		Report:  report,
+		Horizon: horizon,
 	}
-	defer os.RemoveAll(tmp)
-
-	var midCkpt []byte
-	var midAt psbox.Time
-	for _, frac := range []float64{0.25, 0.50, 0.75} {
-		crashAt := sim.Duration(float64(horizon) * frac)
-		fmt.Fprintf(&b, "\n== crash at %d%% ==\n", int(frac*100))
-
-		// The crashed run: killed at the crash point; only the last
-		// checkpoint survives, round-tripped through a file to exercise
-		// the CRC-validated persistence path.
-		var lastBytes []byte
-		var lastAt psbox.Time
-		crashed := build(seed, horizon, func(s *psbox.System, at psbox.Time) {
-			lastBytes, lastAt = s.Snapshot(), at
-		})
-		crashed.Run(crashAt)
-		if lastBytes == nil {
-			fmt.Fprintln(&b, "FAIL: no checkpoint before the crash point")
-			restoreFail = true
-			continue
-		}
-		path := filepath.Join(tmp, fmt.Sprintf("ckpt-%d.psbx", int(frac*100)))
-		if err := snapshot.WriteFile(path, lastBytes); err != nil {
-			fmt.Fprintln(&b, "FAIL: write checkpoint:", err)
-			restoreFail = true
-			continue
-		}
-		restoredBytes, err := snapshot.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(&b, "FAIL: read checkpoint:", err)
-			restoreFail = true
-			continue
-		}
-		if mangleCheckpoint != nil {
-			restoredBytes = mangleCheckpoint(restoredBytes)
-		}
-		fmt.Fprintf(&b, "checkpoint at %d ms (%d bytes, crc ok)\n",
-			int64(lastAt)/int64(psbox.Millisecond), len(restoredBytes))
-
-		// The resumed run: rebuild, replay, byte-verify at the checkpoint
-		// instant, run to the horizon.
-		var restoreErr error
-		restored := false
-		resumed := build(seed, horizon, func(s *psbox.System, at psbox.Time) {
-			if at == lastAt && !restored {
-				restoreErr = s.Restore(restoredBytes)
-				restored = true
-			}
-		})
-		resumed.Run(horizon)
-		switch {
-		case !restored:
-			fmt.Fprintln(&b, "FAIL: resume never reached the checkpoint instant")
-			restoreFail = true
-		case restoreErr != nil:
-			fmt.Fprintf(&b, "FAIL: restore verification: %v\n", restoreErr)
-			restoreFail = true
-		default:
-			fmt.Fprintln(&b, "restore verified")
-		}
-		got := report(resumed)
-		if mangleReport != nil {
-			got = mangleReport(got)
-		}
-		if got != goldenReport {
-			fmt.Fprintln(&b, "FAIL: resumed report diverges from golden:")
-			b.WriteString(diffLines(goldenReport, got))
-			diverged = true
-		} else {
-			fmt.Fprintln(&b, "resumed report identical to golden")
-		}
-		if frac == 0.50 {
-			midCkpt, midAt = restoredBytes, lastAt
-		}
-	}
-
-	if midCkpt != nil {
-		fmt.Fprintln(&b, "\n== lockstep replicas ==")
-		steps, err := lockstep(seed, horizon, midCkpt, midAt)
-		switch {
-		case errors.As(err, new(restoreError)):
-			fmt.Fprintf(&b, "FAIL: %v\n", err)
-			restoreFail = true
-		case err != nil:
-			fmt.Fprintf(&b, "FAIL: %v\n", err)
-			diverged = true
-		default:
-			fmt.Fprintf(&b, "two replicas resumed at %d ms, stepped %d quanta to the horizon: no divergence\n",
-				int64(midAt)/int64(psbox.Millisecond), steps)
-		}
-	}
-
-	code := verdictCode(restoreFail, diverged)
-	if code == exitOK {
-		fmt.Fprintln(&b, "\nverdict: ok")
-	} else {
-		fmt.Fprintln(&b, "\nverdict: FAIL")
-	}
-	return b.String(), code
-}
-
-// restoreError marks a lockstep failure as a restore-path failure rather
-// than replica divergence.
-type restoreError struct{ err error }
-
-func (e restoreError) Error() string { return e.err.Error() }
-func (e restoreError) Unwrap() error { return e.err }
-
-// lockstep rebuilds two replicas, restores both from the checkpoint, and
-// steps them to the horizon in fixed quanta, comparing full system
-// snapshots after every step. It reports the first divergence with the
-// section-qualified diff — this is the detector the soak run arms against
-// nondeterminism that per-report comparison could smear over.
-func lockstep(seed uint64, horizon sim.Duration, ckpt []byte, at psbox.Time) (int, error) {
-	replicas := [2]*psbox.System{}
-	for i := range replicas {
-		var restoreErr error
-		sys := build(seed, horizon, func(s *psbox.System, t psbox.Time) {
-			if t == at && restoreErr == nil {
-				restoreErr = s.Restore(ckpt)
-			}
-		})
-		sys.Run(sim.Duration(int64(at)))
-		if restoreErr != nil {
-			return 0, restoreError{fmt.Errorf("lockstep replica %d restore: %w", i, restoreErr)}
-		}
-		replicas[i] = sys
-	}
-	quantum := horizon / 50
-	steps := 0
-	for replicas[0].Now() < psbox.Time(int64(horizon)) {
-		for _, r := range replicas {
-			r.Run(quantum)
-		}
-		steps++
-		a, c := replicas[0].Snapshot(), replicas[1].Snapshot()
-		if d := snapshot.Diff(a, c); d != "" {
-			return steps, fmt.Errorf("replicas diverged at %v (step %d): %s",
-				replicas[0].Now(), steps, d)
-		}
-	}
-	return steps, nil
-}
-
-// diffLines renders a compact first-divergence view of two reports.
-func diffLines(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var b strings.Builder
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var lw, lg string
-		if i < len(w) {
-			lw = w[i]
-		}
-		if i < len(g) {
-			lg = g[i]
-		}
-		if lw != lg {
-			fmt.Fprintf(&b, "  line %d:\n  - %s\n  + %s\n", i+1, lw, lg)
-		}
-	}
-	return b.String()
+	res := p.Run(&b)
+	p.Lockstep(&b, &res)
+	fmt.Fprintf(&b, "\nverdict: %s\n", res)
+	return b.String(), res.Code()
 }

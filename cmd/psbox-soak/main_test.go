@@ -7,49 +7,25 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"psbox/internal/soak"
 )
 
-// TestExitCodes tables every documented exit status. The restore-failure
-// and divergence rows use the package's test seams to corrupt,
-// respectively, the checkpoint bytes read back from disk and a resumed
-// run's report — each exercising the full protocol around the injected
-// fault.
+// TestExitCodes tables the exit statuses psbox-soak adds around the
+// protocol: a clean soak, the hung-run watchdog, and usage errors. The
+// restore-failure and divergence verdicts, and their precedence, are
+// tested where they are decided, in internal/soak.
 func TestExitCodes(t *testing.T) {
-	mangleCkpt := func(b []byte) []byte {
-		out := append([]byte(nil), b...)
-		out[len(out)/2] ^= 0x01
-		return out
-	}
-	mangleRep := func(s string) string { return strings.Replace(s, "battery=", "battery=9", 1) }
-
 	tests := []struct {
 		name       string
 		args       []string
-		ckpt       func([]byte) []byte
-		report     func(string) string
 		want       int
 		wantStdout string // "" skips the check
 		wantStderr string
 	}{
 		{
 			name: "ok", args: []string{"-seed", "7", "-ms", "100"},
-			want: exitOK, wantStdout: "verdict: ok",
-		},
-		{
-			name: "divergence", args: []string{"-seed", "7", "-ms", "100"},
-			report: mangleRep,
-			want:   exitDivergence, wantStdout: "resumed report diverges from golden",
-		},
-		{
-			name: "restore failure", args: []string{"-seed", "7", "-ms", "100"},
-			ckpt: mangleCkpt,
-			want: exitRestore, wantStdout: "FAIL: restore verification",
-		},
-		{
-			// Both classes at once: restore failure must win the exit code.
-			name: "restore failure outranks divergence", args: []string{"-seed", "7", "-ms", "100"},
-			ckpt: mangleCkpt, report: mangleRep,
-			want: exitRestore,
+			want: soak.ExitOK, wantStdout: "verdict: ok",
 		},
 		{
 			name: "timeout", args: []string{"-seed", "7", "-ms", "60000", "-timeout", "50ms"},
@@ -66,8 +42,6 @@ func TestExitCodes(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			mangleCheckpoint, mangleReport = tc.ckpt, tc.report
-			defer func() { mangleCheckpoint, mangleReport = nil, nil }()
 			var stdout, stderr bytes.Buffer
 			if got := run(tc.args, &stdout, &stderr); got != tc.want {
 				t.Errorf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
@@ -80,22 +54,5 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
 			}
 		})
-	}
-}
-
-// TestVerdictCode pins the precedence fold directly.
-func TestVerdictCode(t *testing.T) {
-	for _, tc := range []struct {
-		restoreFail, diverged bool
-		want                  int
-	}{
-		{false, false, exitOK},
-		{false, true, exitDivergence},
-		{true, false, exitRestore},
-		{true, true, exitRestore},
-	} {
-		if got := verdictCode(tc.restoreFail, tc.diverged); got != tc.want {
-			t.Errorf("verdictCode(%v, %v) = %d, want %d", tc.restoreFail, tc.diverged, got, tc.want)
-		}
 	}
 }

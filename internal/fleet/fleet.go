@@ -17,7 +17,7 @@
 //     cancel channel, by abandonment when it is wedged inside the event
 //     loop);
 //   - retry with capped exponential backoff that resumes from the shard's
-//     last PSBX checkpoint — the psbox-soak replay-twin path: rebuild the
+//     last PSBX checkpoint — the replay-twin path of soak.Arm: rebuild the
 //     scenario, replay, byte-verify at the checkpoint instant — instead of
 //     restarting from zero;
 //   - graceful degradation: a shard that exhausts its retries is
@@ -43,6 +43,7 @@ import (
 
 	"psbox"
 	"psbox/internal/sim"
+	"psbox/internal/soak"
 )
 
 // FailureKind classifies one shard failure (the taxonomy of DESIGN.md
@@ -188,6 +189,9 @@ func (cfg Config) validate() error {
 	if cfg.Quanta < 2 {
 		return fmt.Errorf("fleet: need at least 2 quanta, have %d", cfg.Quanta)
 	}
+	if cfg.Horizon < sim.Duration(cfg.Quanta) {
+		return fmt.Errorf("fleet: horizon %v is too short for %d quanta: each would last 0 ns", cfg.Horizon, cfg.Quanta)
+	}
 	if cfg.CheckpointEvery > cfg.Quanta {
 		return fmt.Errorf("fleet: CheckpointEvery %d exceeds Quanta %d: shards would never checkpoint", cfg.CheckpointEvery, cfg.Quanta)
 	}
@@ -292,7 +296,7 @@ type shardCtl struct {
 // touches is shared). The synthesized hang failure records the sim-time
 // progress point — a quantum boundary, deterministic for a fixed chaos
 // plan — never any wall-clock value.
-func superviseAttempt(cfg Config, st *shardState, attempt int, resume *checkpointRec) attemptResult {
+func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Checkpoint) attemptResult {
 	//psbox:allow-noconcurrency the cancel channel is the watchdog's only signal into the attempt; closing it is the cooperative cancellation protocol
 	ctl := &shardCtl{cancel: make(chan struct{})}
 	//psbox:allow-noconcurrency buffered size 1 so an abandoned attempt's final send never blocks its goroutine forever
@@ -397,7 +401,7 @@ func runShard(cfg Config, shard int) ShardOutcome {
 			// Chaos checkpoint corruption: replace (never mutate — an
 			// abandoned attempt may still hold the old bytes) the stored
 			// checkpoint with a bit-flipped copy.
-			st.last = &checkpointRec{At: st.last.At, Bytes: corruptCopy(st.last.Bytes)}
+			st.last = &soak.Checkpoint{At: st.last.At, Bytes: corruptCopy(st.last.Bytes)}
 		}
 		if attempt >= cfg.MaxRetries {
 			out.Quarantined = true

@@ -65,6 +65,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Shards: 1, Horizon: sim.Millisecond, Quanta: 4, CheckpointEvery: 9}); err == nil {
 		t.Error("Run accepted CheckpointEvery > Quanta")
 	}
+	if _, err := Run(Config{Shards: 1, Horizon: 19, Quanta: 20}); err == nil {
+		t.Error("Run accepted a horizon shorter than its quanta (zero-length quantum)")
+	}
 }
 
 // TestDeterministicAcrossWorkers is the acceptance core: the same chaos

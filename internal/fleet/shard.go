@@ -4,17 +4,10 @@ import (
 	"fmt"
 
 	"psbox"
-	"psbox/internal/obs"
 	"psbox/internal/sim"
 	"psbox/internal/snapshot"
+	"psbox/internal/soak"
 )
-
-// checkpointRec is one saved PSBX checkpoint: the canonical bytes and the
-// sim instant they were taken at.
-type checkpointRec struct {
-	At    sim.Time
-	Bytes []byte
-}
 
 // attemptResult is everything one attempt hands back to its supervisor.
 // Exactly one of report/failure is set. ckpt is the newest checkpoint the
@@ -24,7 +17,7 @@ type checkpointRec struct {
 type attemptResult struct {
 	report      *ShardReport
 	failure     *Failure
-	ckpt        *checkpointRec
+	ckpt        *soak.Checkpoint
 	resumedFrom sim.Time // checkpoint instant a successful resume verified at; 0 = ran from zero
 }
 
@@ -35,7 +28,7 @@ type shardState struct {
 	cfg   Config
 	shard int
 	seed  uint64
-	last  *checkpointRec // newest validated (or chaos-corrupted) checkpoint
+	last  *soak.Checkpoint // newest validated (or chaos-corrupted) checkpoint
 }
 
 // validatedResume picks the attempt's resume point. A stored checkpoint
@@ -43,7 +36,7 @@ type shardState struct {
 // checkpoint-corrupt failure (consuming this attempt) and is discarded, so
 // the next attempt restarts from zero — corruption degrades the resume, it
 // never crashes the fleet or silently resumes from garbage.
-func (st *shardState) validatedResume(attempt int) (*checkpointRec, *Failure) {
+func (st *shardState) validatedResume(attempt int) (*soak.Checkpoint, *Failure) {
 	if st.last == nil {
 		return nil, nil
 	}
@@ -61,15 +54,15 @@ func (st *shardState) validatedResume(attempt int) (*checkpointRec, *Failure) {
 	return st.last, nil
 }
 
-// runAttempt executes one attempt of the shard: rebuild the scenario,
-// schedule the checkpoint cadence, step the horizon in quanta (reporting
+// runAttempt executes one attempt of the shard: rebuild the scenario, arm
+// the checkpoint cadence (soak.Arm), step the horizon in quanta (reporting
 // sim-time progress after each), and summarize the final state. A resume
-// follows the psbox-soak replay-twin path: replay to the checkpoint
-// instant, byte-verify the rebuilt state against the checkpoint, continue.
-// Any panic — a chaos kill, an invariant violation, a model bug — is
+// is soak.Arm's replay-twin path: replay to the checkpoint instant,
+// byte-verify the rebuilt state against the checkpoint, continue. Any
+// panic — a chaos kill, an invariant violation, a model bug — is
 // recovered into a typed failure; the process never crashes.
-func (st *shardState) runAttempt(attempt int, resume *checkpointRec, ctl *shardCtl) (res attemptResult) {
-	var latest *checkpointRec
+func (st *shardState) runAttempt(attempt int, resume *soak.Checkpoint, ctl *shardCtl) (res attemptResult) {
+	var tape *soak.Tape
 	defer func() {
 		if r := recover(); r != nil {
 			res = attemptResult{
@@ -80,36 +73,17 @@ func (st *shardState) runAttempt(attempt int, resume *checkpointRec, ctl *shardC
 					At:      sim.Time(ctl.heartbeat.Load()),
 					Msg:     fmt.Sprint(r),
 				},
-				ckpt: latest,
+			}
+			if tape != nil {
+				res.ckpt = tape.Latest
 			}
 		}
 	}()
 
 	inj := st.cfg.Chaos.injectionFor(st.shard, attempt)
 	sys := st.cfg.Build(st.shard, st.seed, st.cfg.Horizon)
-
-	// Checkpoint events are scheduled at fixed absolute instants before
-	// any Run, so every attempt of the shard — fresh, crashed, resumed —
-	// allocates the identical engine event sequence; only the callback
-	// body differs per attempt (save vs. verify). The trace instant rides
-	// every attempt, keeping traces byte-identical across the retry
-	// protocol (the psbox-soak discipline).
 	quantum := st.cfg.Horizon / sim.Duration(st.cfg.Quanta)
-	var verifyErr error
-	restored := resume == nil
-	for q := st.cfg.CheckpointEvery; q <= st.cfg.Quanta; q += st.cfg.CheckpointEvery {
-		tt := sim.Time(int64(quantum) * int64(q))
-		sys.Eng.At(tt, func(sim.Time) {
-			sys.Trace.Instant(obs.CatCkpt, "checkpoint", 0, int64(tt), "", "")
-			switch {
-			case resume != nil && tt == resume.At:
-				verifyErr = sys.Restore(resume.Bytes)
-				restored = true
-			case resume == nil || tt > resume.At:
-				latest = &checkpointRec{At: tt, Bytes: sys.Snapshot()}
-			}
-		})
-	}
+	tape = soak.Arm(sys, quantum*sim.Duration(st.cfg.CheckpointEvery), quantum*sim.Duration(st.cfg.Quanta), resume)
 
 	for q := 1; q <= st.cfg.Quanta; q++ {
 		if inj != nil && inj.Quantum == q {
@@ -127,7 +101,7 @@ func (st *shardState) runAttempt(attempt int, resume *checkpointRec, ctl *shardC
 				return attemptResult{
 					failure: &Failure{Shard: st.shard, Attempt: attempt, Kind: FailHang,
 						At: sim.Time(ctl.heartbeat.Load()), Msg: "chaos hang cancelled"},
-					ckpt: latest,
+					ckpt: tape.Latest,
 				}
 			}
 		}
@@ -138,16 +112,16 @@ func (st *shardState) runAttempt(attempt int, resume *checkpointRec, ctl *shardC
 			return attemptResult{
 				failure: &Failure{Shard: st.shard, Attempt: attempt, Kind: FailHang,
 					At: sim.Time(ctl.heartbeat.Load()), Msg: "cancelled by watchdog"},
-				ckpt: latest,
+				ckpt: tape.Latest,
 			}
 		default:
 		}
 		sys.Run(quantum)
 		ctl.heartbeat.Store(int64(sys.Now()))
-		if verifyErr != nil {
+		if tape.Err != nil {
 			return attemptResult{
 				failure: &Failure{Shard: st.shard, Attempt: attempt, Kind: FailCheckpointCorrupt,
-					At: resume.At, Msg: fmt.Sprintf("resume verification failed: %v; discarding checkpoint", verifyErr)},
+					At: resume.At, Msg: fmt.Sprintf("resume verification failed: %v; discarding checkpoint", tape.Err)},
 				ckpt: nil,
 			}
 		}
@@ -158,14 +132,14 @@ func (st *shardState) runAttempt(attempt int, resume *checkpointRec, ctl *shardC
 		sys.Run(rem)
 		ctl.heartbeat.Store(int64(sys.Now()))
 	}
-	if !restored {
+	if resume != nil && !tape.Restored {
 		return attemptResult{
 			failure: &Failure{Shard: st.shard, Attempt: attempt, Kind: FailCheckpointCorrupt,
 				At: resume.At, Msg: "resume never reached the checkpoint instant (cadence mismatch); discarding checkpoint"},
 			ckpt: nil,
 		}
 	}
-	res = attemptResult{report: Summarize(sys, psbox.Time(0), sys.Now()), ckpt: latest}
+	res = attemptResult{report: Summarize(sys, psbox.Time(0), sys.Now()), ckpt: tape.Latest}
 	if resume != nil {
 		res.resumedFrom = resume.At
 	}
