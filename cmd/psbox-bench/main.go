@@ -25,7 +25,7 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment IDs, 'all' (paper), 'extra' (ablations + §7), or 'everything'")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	asJSON := flag.Bool("json", false, "emit machine-readable results (one JSON object per experiment)")
-	perf := flag.Bool("perf", false, "run the hot-path microbenchmarks (engine heap, meter sampling) instead of experiments")
+	perf := flag.Bool("perf", false, "run the host-path microbenchmarks (meter sampling, lint passes) instead of experiments")
 	flag.Parse()
 
 	if *perf {

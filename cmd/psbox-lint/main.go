@@ -42,7 +42,7 @@
 // disables it too, since staleness is only meaningful against the full
 // suite's findings.
 //
-// Scopes:
+// Scopes of the twelve analyzers:
 //
 //	nowallclock    — psbox/internal/... (cmd tools may report host time)
 //	nomathrand     — every package (internal/sim/rand.go itself exempt)

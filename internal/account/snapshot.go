@@ -13,6 +13,3 @@ func (r *Recorder) Snapshot(enc *snapshot.Encoder) {
 		enc.I64(int64(s.End))
 	}
 }
-
-// Restore verifies the live recorder against a checkpoint section.
-func (r *Recorder) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, r.Snapshot) }

@@ -4,7 +4,7 @@
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer holds a name, a doc string, and a Run function over a
 // type-checked package — but is built only on the standard library so the
-// module stays dependency-free. Thirteen analyzers enforce the simulator's
+// module stays dependency-free. Twelve analyzers enforce the simulator's
 // determinism, checkpoint, billing, and observability contracts (see
 // DESIGN.md §"Determinism contract", §"Checkpoint/restore" and
 // §"Observability"):
@@ -14,7 +14,8 @@
 //	noconcurrency  — no goroutines, channels, or sync in sim packages
 //	maporder       — no order-sensitive work inside map-range loops
 //	energyaccum    — no ad-hoc += into energy/joule/charge accumulators
-//	snapshotstate  — no stateful fields missing from Snapshot/Restore
+//	snapshotstate  — no stateful field left unencoded by the struct's
+//	                 Encoder-taking methods
 //	obsdeterminism — no fmt.Fprint*/log.* in instrumented packages
 //	walltaint      — no wall-clock/env/pid-derived values reaching sim
 //	                 state, snapshot writers, or obs events (whole-program)
@@ -22,7 +23,7 @@
 //	                 internal/account on every path (whole-program)
 //	maporderflow   — maporder's float-accumulation rule through locals
 //	                 and helper calls (whole-program)
-//	goroutineconfine — confined values (System, snapshot codecs, obs bus,
+//	goroutineconfine — confined values (System, snapshot encoders, obs bus,
 //	                 scenario RNG) reachable from at most one goroutine;
 //	                 channel send transfers ownership (whole-program)
 //	locksetatomic  — in host-concurrency packages, inferred mutex/field
@@ -252,19 +253,13 @@ func stmtCoverageEnd(s ast.Stmt) token.Pos {
 	return s.End()
 }
 
-// allowed reports whether an analyzer finding at pos is covered by a
-// directive on the same line, the line above, the spanned lines of the
-// statement the directive heads, or the file header.
+// allowed reports whether an analyzer finding at pos is covered by one of
+// the analyzer's directives on the same line, the line above, the spanned
+// lines of the statement the directive heads, or the file header. Every
+// matching directive is marked used, which is what the staleallows check
+// consumes after a full-suite run; analyzers therefore consult it only for
+// a finding they would otherwise report.
 func (p *Pass) allowed(pos token.Pos) bool {
-	return p.allowedFor(p.Analyzer.Name, pos)
-}
-
-// allowedFor is allowed for an explicit directive name — used where one
-// analyzer honors another's waivers (snapshotdrift inherits
-// allow-snapshotstate field exemptions). Every matching directive is
-// marked used, which is what the staleallows check consumes after a
-// full-suite run.
-func (p *Pass) allowedFor(name string, pos token.Pos) bool {
 	position := p.Fset.Position(pos)
 	fd := p.directives[position.Filename]
 	if fd == nil {
@@ -272,7 +267,7 @@ func (p *Pass) allowedFor(name string, pos token.Pos) bool {
 	}
 	hit := false
 	for _, e := range fd.entries {
-		if e.name != name {
+		if e.name != p.Analyzer.Name {
 			continue
 		}
 		if e.fileScope ||
@@ -307,7 +302,7 @@ func (p *Pass) Filename(n ast.Node) string {
 // RunAnalyzers' single-package wrapper they see a one-package program and
 // degrade to intraprocedural checking.
 func All() []*Analyzer {
-	return []*Analyzer{NoWallClock, NoMathRand, NoConcurrency, MapOrder, EnergyAccum, SnapshotState, SnapshotDrift, ObsDeterminism, WallTaint, UnbilledEnergy, MapOrderFlow, GoroutineConfine, LockSetAtomic}
+	return []*Analyzer{NoWallClock, NoMathRand, NoConcurrency, MapOrder, EnergyAccum, SnapshotState, ObsDeterminism, WallTaint, UnbilledEnergy, MapOrderFlow, GoroutineConfine, LockSetAtomic}
 }
 
 // obsInstrumented are the package subtrees that emit on the observability

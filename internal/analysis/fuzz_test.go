@@ -66,7 +66,7 @@ func FuzzDirectiveScan(f *testing.F) {
 					t.Error("entries must start unused")
 				}
 				p := &Pass{Analyzer: &Analyzer{Name: e.name}, Fset: fset, directives: dirs}
-				if !p.allowedFor(e.name, e.pos) {
+				if !p.allowed(e.pos) {
 					t.Errorf("directive at %v does not cover its own position", fset.Position(e.pos))
 				}
 				e.used = false // undo the probe's marking

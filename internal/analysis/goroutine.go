@@ -25,7 +25,7 @@ import (
 // fixtures provide stubs at the same import paths.
 var confinedSeed = map[string][]string{
 	"psbox":                   {"System"},
-	"psbox/internal/snapshot": {"Encoder", "Decoder"},
+	"psbox/internal/snapshot": {"Encoder"},
 	"psbox/internal/obs":      {"Bus"},
 	"psbox/internal/sim":      {"Rand"},
 }

@@ -8,7 +8,7 @@ import (
 
 // GoroutineConfine enforces the ownership discipline the fleet layer's
 // determinism rests on: a confined value (a *psbox.System, a snapshot
-// encoder/decoder, the obs bus, scenario RNG state — the seed list plus
+// encoder, the obs bus, scenario RNG state — the seed list plus
 // any type marked //psbox:confined) may be reachable from at most one
 // goroutine at a time. Spawning a goroutine that captures a confined value
 // — through a closure free variable, a call argument, or a bound method
@@ -19,11 +19,11 @@ import (
 // The model is positional, not flow-sensitive: a spawner that provably
 // rejoins the goroutine (wg.Wait, reading a done channel) before reusing
 // the value is still reported and needs a reasoned
-// //psbox:allow-goroutineconfine directive — see DESIGN.md rule 12 for
+// //psbox:allow-goroutineconfine directive — see DESIGN.md rule 11 for
 // the soundness caveats.
 var GoroutineConfine = &Analyzer{
 	Name: "goroutineconfine",
-	Doc: `confined types (System, snapshot encoders/decoders, the obs bus,
+	Doc: `confined types (System, snapshot encoders, the obs bus,
 scenario RNG state, //psbox:confined-marked types) must be reachable from
 at most one goroutine at a time; channel send transfers ownership, and a
 value captured by two live goroutines or reused by the spawner after

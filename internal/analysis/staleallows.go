@@ -13,8 +13,8 @@ import (
 //
 // Staleness is only meaningful after the whole suite has run against the
 // same package: a directive is "used" when it suppressed at least one
-// finding (or exempted a field from a contract, as allow-snapshotstate
-// does for both snapshot analyzers) during this run. StaleAllows must
+// finding during this run — for allow-snapshotstate, a field the
+// Encoder-taking methods really miss. StaleAllows must
 // therefore be appended LAST to the analyzer list, and only alongside the
 // full suite — running it after a single analyzer would flag every other
 // analyzer's legitimate directives. Only directives naming a known

@@ -39,8 +39,9 @@ func TestStaleAllows(t *testing.T) {
 	}
 	want := []string{
 		"3: //psbox:allow-maporder directive suppresses nothing; remove it",
-		"14: //psbox:allow-nowallclock directive suppresses nothing; remove it",
-		"19: //psbox:allow-energyaccum directive suppresses nothing; remove it",
+		"18: //psbox:allow-nowallclock directive suppresses nothing; remove it",
+		"23: //psbox:allow-energyaccum directive suppresses nothing; remove it",
+		"29: //psbox:allow-snapshotstate directive suppresses nothing; remove it",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("findings = %v, want %v", got, want)

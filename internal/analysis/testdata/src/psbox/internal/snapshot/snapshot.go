@@ -13,15 +13,3 @@ func (e *Encoder) F64(v float64) {}
 func (e *Encoder) Bool(v bool)   {}
 func (e *Encoder) Str(s string)  {}
 func (e *Encoder) Len(n int)     {}
-
-// Decoder reads a checkpoint section back.
-type Decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *Decoder) U64() uint64 { return 0 }
-
-// Verify re-encodes live state and byte-compares it with the decoder's
-// remaining payload.
-func Verify(dec *Decoder, live func(*Encoder)) error { return nil }

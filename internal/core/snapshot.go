@@ -83,9 +83,6 @@ func (mgr *Manager) Snapshot(enc *snapshot.Encoder) {
 	}
 }
 
-// Restore verifies the live psbox service against a checkpoint section.
-func (mgr *Manager) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, mgr.Snapshot) }
-
 // Snapshot encodes the invariant checker's incremental cursor and the
 // per-box monotone-read watermarks (sorted by app ID).
 func (c *Checker) Snapshot(enc *snapshot.Encoder) {
@@ -102,6 +99,3 @@ func (c *Checker) Snapshot(enc *snapshot.Encoder) {
 		enc.F64(float64(c.lastRead[id]))
 	}
 }
-
-// Restore verifies the live checker against a checkpoint section.
-func (c *Checker) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, c.Snapshot) }

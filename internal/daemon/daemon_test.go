@@ -206,7 +206,7 @@ func TestOverflowDropsAttributedPerClient(t *testing.T) {
 	// The dead-client churn stays deterministic end to end: twin systems
 	// running the daemon under the same churn produce byte-identical
 	// checkpoints of it (the per-client breakdown is encoded sorted).
-	sys.RegisterSnapshotter("daemon", srv)
+	sys.RegisterSnapshotter("daemon", srv.Snapshot)
 	sys.Run(100 * psbox.Millisecond)
 	twin := func() []byte {
 		s2 := psbox.NewAM57(8)
@@ -225,7 +225,7 @@ func TestOverflowDropsAttributedPerClient(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			sv2.Submit(daemon.Request{Client: fl.ID, Kind: "fresh", Work: 1000, DynW: 0.5})
 		}
-		s2.RegisterSnapshotter("daemon", sv2)
+		s2.RegisterSnapshotter("daemon", sv2.Snapshot)
 		s2.Run(100 * psbox.Millisecond)
 		return s2.Snapshot()
 	}

@@ -44,6 +44,3 @@ func (s *RenderServer) Snapshot(enc *snapshot.Encoder) {
 		enc.U64(s.droppedOverflowBy[c])
 	}
 }
-
-// Restore verifies the live daemon against a checkpoint section.
-func (s *RenderServer) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, s.Snapshot) }

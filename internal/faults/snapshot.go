@@ -27,6 +27,3 @@ func (in *Injector) Snapshot(enc *snapshot.Encoder) {
 		enc.Str(e.Detail)
 	}
 }
-
-// Restore verifies the live injector against a checkpoint section.
-func (in *Injector) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, in.Snapshot) }

@@ -42,9 +42,3 @@ func (d *Device) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(d.resets)
 	d.rail.Snapshot(enc)
 }
-
-// RestoreSnapshot verifies the live device against a checkpoint section.
-// (Restore is taken by the §4.1 power-state virtualization API.)
-func (d *Device) RestoreSnapshot(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, d.Snapshot)
-}

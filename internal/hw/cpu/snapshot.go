@@ -22,9 +22,3 @@ func (c *CPU) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(c.stalls)
 	c.rail.Snapshot(enc)
 }
-
-// RestoreSnapshot verifies the live cluster against a checkpoint section.
-// (Restore is taken by the §4.1 power-state virtualization API.)
-func (c *CPU) RestoreSnapshot(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, c.Snapshot)
-}

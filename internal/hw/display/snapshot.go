@@ -35,6 +35,3 @@ func (d *Display) Snapshot(enc *snapshot.Encoder) {
 		d.ownerRails[o].Snapshot(enc)
 	}
 }
-
-// Restore verifies the live panel against a checkpoint section.
-func (d *Display) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, d.Snapshot) }

@@ -11,6 +11,3 @@ func (d *DRAM) Snapshot(enc *snapshot.Encoder) {
 	}
 	d.rail.Snapshot(enc)
 }
-
-// Restore verifies the live channel against a checkpoint section.
-func (d *DRAM) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, d.Snapshot) }

@@ -35,6 +35,3 @@ func (g *GPS) Snapshot(enc *snapshot.Encoder) {
 		g.ownerRails[o].Snapshot(enc)
 	}
 }
-
-// Restore verifies the live receiver against a checkpoint section.
-func (g *GPS) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, g.Snapshot) }

@@ -32,9 +32,3 @@ func (n *NIC) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(n.flaps)
 	n.rail.Snapshot(enc)
 }
-
-// RestoreSnapshot verifies the live NIC against a checkpoint section.
-// (Restore is taken by the §4.1 power-state virtualization API.)
-func (n *NIC) RestoreSnapshot(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, n.Snapshot)
-}

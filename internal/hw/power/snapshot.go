@@ -13,6 +13,3 @@ func (r *Rail) Snapshot(enc *snapshot.Encoder) {
 		enc.F64(float64(s.w))
 	}
 }
-
-// Restore verifies the live rail against a checkpoint section.
-func (r *Rail) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, r.Snapshot) }

@@ -78,6 +78,3 @@ func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 		d.apps[id].snapshot(enc)
 	}
 }
-
-// Restore verifies the live scheduler against a checkpoint section.
-func (d *Driver) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, d.Snapshot) }

@@ -147,6 +147,3 @@ func (s *Scheduler) Snapshot(enc *snapshot.Encoder) {
 		enc.I64(int64(t.ID)) // park order is delivery order; encode as-is
 	}
 }
-
-// Restore verifies the live scheduler against a checkpoint section.
-func (s *Scheduler) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, s.Snapshot) }

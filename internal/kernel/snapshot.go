@@ -73,6 +73,3 @@ func (k *Kernel) Snapshot(enc *snapshot.Encoder) {
 		}
 	}
 }
-
-// Restore verifies the live kernel against a checkpoint section.
-func (k *Kernel) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, k.Snapshot) }

@@ -31,6 +31,3 @@ func (m *Meter) Snapshot(enc *snapshot.Encoder) {
 		}
 	}
 }
-
-// Restore verifies the live meter against a checkpoint section.
-func (m *Meter) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, m.Snapshot) }

@@ -139,14 +139,14 @@ func TestSnapshotVerifiesReplayTwin(t *testing.T) {
 	fill(b, false)
 
 	reg := snapshot.NewRegistry()
-	reg.Add("obs", b)
+	reg.Add("obs", b.Snapshot)
 	data := reg.Checkpoint()
 
 	// A replay twin — same construction, same emissions — verifies.
 	twin := NewBus(sim.NewEngine(), 8)
 	fill(twin, false)
 	reg2 := snapshot.NewRegistry()
-	reg2.Add("obs", twin)
+	reg2.Add("obs", twin.Snapshot)
 	if err := reg2.Restore(data); err != nil {
 		t.Fatalf("replay twin should verify: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestSnapshotVerifiesReplayTwin(t *testing.T) {
 	diverged := NewBus(sim.NewEngine(), 8)
 	fill(diverged, true)
 	reg3 := snapshot.NewRegistry()
-	reg3.Add("obs", diverged)
+	reg3.Add("obs", diverged.Snapshot)
 	if err := reg3.Restore(data); err == nil {
 		t.Fatal("diverged twin should fail verification")
 	}

@@ -183,16 +183,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	ea, eb := snapshot.NewEncoder(), snapshot.NewEncoder()
 	a.Snapshot(ea)
 	b.Snapshot(eb)
-	ba, bb := ea.Data(), eb.Data()
-	if string(ba) != string(bb) {
+	if string(ea.Data()) != string(eb.Data()) {
 		t.Fatal("identical folds produced different snapshot bytes")
 	}
-	if err := b.Restore(snapshot.NewDecoder(ba)); err != nil {
+	ra := snapshot.NewRegistry()
+	ra.Add("obs/profile", a.Snapshot)
+	ckpt := ra.Checkpoint()
+	rb := snapshot.NewRegistry()
+	rb.Add("obs/profile", b.Snapshot)
+	if err := rb.Restore(ckpt); err != nil {
 		t.Fatalf("twin restore: %v", err)
 	}
 	// A diverged twin must be rejected.
 	b.weights[Key{App: "vision", Comp: "sched", Rail: "cpu"}] += 1e-6
-	if err := b.Restore(snapshot.NewDecoder(ba)); err == nil {
+	if err := rb.Restore(ckpt); err == nil {
 		t.Fatal("diverged profiler passed snapshot verification")
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Snapshot encodes the profiler canonically: flags, the fold watermark,
 // window accounting, and the weighted tree in sorted key order. Profiles
 // survive crash-and-resume under the replay-twin contract — the resumed
-// run re-folds the same windows, and Restore's byte comparison proves
-// the trees match.
+// run re-folds the same windows, and the registry's byte comparison
+// proves the trees match.
 func (p *Profiler) Snapshot(enc *snapshot.Encoder) {
 	enc.Bool(p.enabled)
 	enc.Bool(p.armed)
@@ -40,7 +40,3 @@ func (p *Profiler) Snapshot(enc *snapshot.Encoder) {
 		enc.F64(p.weights[k])
 	}
 }
-
-// Restore verifies the live profiler against a checkpoint section, per
-// the replay-twin contract.
-func (p *Profiler) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, p.Snapshot) }

@@ -9,7 +9,7 @@ import (
 // Snapshot encodes the bus canonically: emission accounting, the
 // owner-name table and metric maps in sorted key order, and the retained
 // ring oldest-first. Traces therefore survive crash-and-resume: the
-// replay twin re-emits the same events and Restore's byte comparison
+// replay twin re-emits the same events and the registry's byte comparison
 // proves it.
 func (b *Bus) Snapshot(enc *snapshot.Encoder) {
 	enc.Bool(b.enabled)
@@ -72,7 +72,3 @@ func (b *Bus) Snapshot(enc *snapshot.Encoder) {
 		}
 	}
 }
-
-// Restore verifies the live bus against a checkpoint section, per the
-// replay-twin contract.
-func (b *Bus) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, b.Snapshot) }

@@ -161,7 +161,6 @@ func (e *AdmissionError) Error() string {
 
 // Session is one supervised workload across all its incarnations.
 type Session struct {
-	//psbox:allow-snapshotstate Start is a program closure; the scalar spec fields are encoded by snapshot()
 	spec  Spec
 	state State
 	app   *kernel.App // current incarnation; nil only before first start

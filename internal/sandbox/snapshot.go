@@ -76,6 +76,3 @@ func (m *Manager) Snapshot(enc *snapshot.Encoder) {
 		s.snapshot(enc)
 	}
 }
-
-// Restore verifies the live manager against a checkpoint section.
-func (m *Manager) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, m.Snapshot) }

@@ -21,9 +21,6 @@ func (r *Rand) SetState(s uint64) { r.state = s }
 // Snapshot encodes the generator's stream position.
 func (r *Rand) Snapshot(enc *snapshot.Encoder) { enc.U64(r.state) }
 
-// Restore verifies the live stream position against a checkpoint.
-func (r *Rand) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, r.Snapshot) }
-
 // Snapshot encodes the engine: clock, sequence allocator, fired-event
 // count, and the pending event set as sorted (at, seq) pairs. Event
 // callbacks are closures and are deliberately not encoded — the replay-twin
@@ -47,6 +44,3 @@ func (e *Engine) Snapshot(enc *snapshot.Encoder) {
 		enc.U64(it.seq)
 	}
 }
-
-// Restore verifies the live engine against a checkpoint section.
-func (e *Engine) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, e.Snapshot) }

@@ -26,10 +26,10 @@ func resealCRC(data []byte) []byte {
 }
 
 // FuzzRestore feeds arbitrary bytes through the full hostile-input
-// surface — Parse, Registry.Restore, Diff, and each section's payload
-// decoder. The contract under fuzz: malformed input may only ever return
-// an error. No panic, no runtime fault, and no allocation sized by an
-// unvalidated length field.
+// surface — Parse's framing decoder, Registry.Restore's byte comparison of
+// each section against its live re-encoding, and Diff. The contract under
+// fuzz: malformed input may only ever return an error. No panic, no
+// runtime fault, and no allocation sized by an unvalidated length field.
 func FuzzRestore(f *testing.F) {
 	valid, _ := fuzzCheckpoint()
 	f.Add(valid)
@@ -69,7 +69,7 @@ func FuzzRestore(f *testing.F) {
 		}
 
 		// Restore against a live registry: errors only, never a panic,
-		// regardless of what the payload decoders read.
+		// whatever the payloads hold.
 		valid, reg := fuzzCheckpoint()
 		_ = reg.Restore(data)
 
@@ -78,21 +78,17 @@ func FuzzRestore(f *testing.F) {
 		_ = Diff(valid, data)
 		_ = Diff(data, data)
 
-		// Drain a raw decoder over the input the way section decoders do:
+		// Drain a raw decoder over the input with the reads Parse makes:
 		// sticky errors must hold, reads past the end must return zeros.
-		d := NewDecoder(data)
-		for d.Err() == nil && d.Remaining() > 0 {
-			switch d.U8() % 5 {
+		d := &decoder{buf: data}
+		for d.err == nil && d.remaining() > 0 {
+			switch d.u16() % 3 {
 			case 0:
-				d.U64()
+				d.u32()
 			case 1:
-				d.Str()
+				d.str()
 			case 2:
-				d.Blob()
-			case 3:
-				d.F64()
-			case 4:
-				d.U16()
+				d.blob()
 			}
 		}
 	})

@@ -11,11 +11,11 @@
 //
 // Restore follows the replay-twin contract (DESIGN.md): a checkpoint is
 // never "applied" to a live system. The caller deterministically rebuilds
-// the scenario, replays it to the checkpoint instant, and each section's
-// Restore re-encodes the live state and byte-compares it against the
-// checkpoint payload, failing loudly at the first divergence. Applying
-// state would silently mask replay divergence; verification makes the
-// restore guarantee checkable.
+// the scenario, replays it to the checkpoint instant, and Registry.Restore
+// re-encodes every registered layer's live state and byte-compares it
+// against that section's payload, failing loudly at the first divergence.
+// Applying state would silently mask replay divergence; verification makes
+// the restore guarantee checkable.
 package snapshot
 
 import (
@@ -25,7 +25,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"sort"
 )
 
 // Magic opens every checkpoint.
@@ -97,35 +96,19 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// A Decoder reads one section's payload back. Errors are sticky: after the
-// first underflow every further read returns zero values and Err reports
-// the failure. Like the Encoder, a Decoder belongs to one goroutine: the
-// read cursor and sticky error are unsynchronized.
-//
-//psbox:confined
-type Decoder struct {
+// A decoder reads a checkpoint's framing back for Parse. Errors are
+// sticky: after the first underflow every further read returns zero values
+// and err reports the failure. Like the Encoder, a decoder belongs to one
+// goroutine: the read cursor and sticky error are unsynchronized.
+type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-// NewDecoder wraps payload bytes.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+func (d *decoder) remaining() int { return len(d.buf) - d.off }
 
-// Err reports the first decode error, if any.
-func (d *Decoder) Err() error { return d.err }
-
-// Remaining reports how many bytes are left unread.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-// Rest consumes and returns every unread byte.
-func (d *Decoder) Rest() []byte {
-	b := d.buf[d.off:]
-	d.off = len(d.buf)
-	return b
-}
-
-func (d *Decoder) take(n int) []byte {
+func (d *decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
@@ -133,8 +116,8 @@ func (d *Decoder) take(n int) []byte {
 		d.err = fmt.Errorf("snapshot: negative length %d at offset %d", n, d.off)
 		return nil
 	}
-	if d.Remaining() < n {
-		d.err = fmt.Errorf("snapshot: truncated payload: need %d bytes at offset %d, have %d", n, d.off, d.Remaining())
+	if d.remaining() < n {
+		d.err = fmt.Errorf("snapshot: truncated payload: need %d bytes at offset %d, have %d", n, d.off, d.remaining())
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -142,17 +125,7 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U16 reads a big-endian uint16.
-func (d *Decoder) U16() uint16 {
+func (d *decoder) u16() uint16 {
 	b := d.take(2)
 	if b == nil {
 		return 0
@@ -160,8 +133,7 @@ func (d *Decoder) U16() uint16 {
 	return binary.BigEndian.Uint16(b)
 }
 
-// U32 reads a big-endian uint32.
-func (d *Decoder) U32() uint32 {
+func (d *decoder) u32() uint32 {
 	b := d.take(4)
 	if b == nil {
 		return 0
@@ -169,71 +141,18 @@ func (d *Decoder) U32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
-// U64 reads a big-endian uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
+// str reads a length-prefixed string.
+func (d *decoder) str() string { return string(d.take(int(d.u32()))) }
 
-// I64 reads a big-endian int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// F64 reads an IEEE-754 float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a 0/1 byte.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
-	n := int(d.U32())
-	b := d.take(n)
-	return string(b)
-}
-
-// Blob reads a length-prefixed byte slice.
-func (d *Decoder) Blob() []byte {
-	n := int(d.U32())
-	b := d.take(n)
+// blob reads a length-prefixed byte slice into a fresh copy.
+func (d *decoder) blob() []byte {
+	b := d.take(int(d.u32()))
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// A Snapshotter is one stateful layer: Snapshot writes its canonical
-// encoding; Restore checks a checkpoint payload against the layer's live
-// state per the replay-twin contract (usually one Verify call).
-type Snapshotter interface {
-	Snapshot(*Encoder)
-	Restore(*Decoder) error
-}
-
-// Verify is the standard Restore body: re-encode the live state with live
-// and byte-compare it against the remaining checkpoint payload, reporting
-// the first diverging offset.
-func Verify(dec *Decoder, live func(*Encoder)) error {
-	want := dec.Rest()
-	enc := NewEncoder()
-	live(enc)
-	got := enc.Data()
-	if bytes.Equal(want, got) {
-		return nil
-	}
-	off := firstDiff(want, got)
-	return fmt.Errorf("live state diverges from checkpoint at byte %d (checkpoint %d bytes, live %d bytes)",
-		off, len(want), len(got))
-}
-
-// VerifyFunc adapts a Snapshot function into the standard verify-only
-// Restore, for layers registered as a function pair.
-func VerifyFunc(live func(*Encoder)) func(*Decoder) error {
-	return func(dec *Decoder) error { return Verify(dec, live) }
 }
 
 func firstDiff(a, b []byte) int {
@@ -249,10 +168,18 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
+// A section is one registered layer: its label and the function that
+// writes its canonical encoding.
 type section struct {
-	label   string
-	snap    func(*Encoder)
-	restore func(*Decoder) error
+	label string
+	snap  func(*Encoder)
+}
+
+// encode runs the layer's encoder over a fresh payload.
+func (s section) encode() []byte {
+	e := NewEncoder()
+	s.snap(e)
+	return e.Data()
 }
 
 // A Registry is the ordered list of a system's stateful layers. The
@@ -267,28 +194,14 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{labels: make(map[string]bool)} }
 
-// Add registers one layer under a unique label.
-func (r *Registry) Add(label string, s Snapshotter) {
-	r.AddFuncs(label, s.Snapshot, s.Restore)
-}
-
-// AddFuncs registers a layer given as a function pair — for types whose
-// Restore name is taken by an existing API (hardware power-state restore).
-func (r *Registry) AddFuncs(label string, snap func(*Encoder), restore func(*Decoder) error) {
+// Add registers one layer under a unique label, given as the function that
+// encodes its live state (usually the layer's Snapshot method).
+func (r *Registry) Add(label string, snap func(*Encoder)) {
 	if r.labels[label] {
 		panic(fmt.Sprintf("snapshot: duplicate section label %q", label))
 	}
 	r.labels[label] = true
-	r.secs = append(r.secs, section{label: label, snap: snap, restore: restore})
-}
-
-// Labels lists the registered section labels in order.
-func (r *Registry) Labels() []string {
-	out := make([]string, len(r.secs))
-	for i, s := range r.secs {
-		out[i] = s.label
-	}
-	return out
+	r.secs = append(r.secs, section{label: label, snap: snap})
 }
 
 // Checkpoint encodes every registered section into one framed, checksummed
@@ -299,10 +212,8 @@ func (r *Registry) Checkpoint() []byte {
 	e.U16(Version)
 	e.Len(len(r.secs))
 	for _, s := range r.secs {
-		body := NewEncoder()
-		s.snap(body)
 		e.Str(s.label)
-		e.Blob(body.Data())
+		e.Blob(s.encode())
 	}
 	e.U32(crc32.ChecksumIEEE(e.buf))
 	return e.Data()
@@ -324,42 +235,44 @@ func Parse(data []byte) ([]Section, error) {
 	if got, want := binary.BigEndian.Uint32(trailer), crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("snapshot: CRC mismatch: trailer %08x, computed %08x", got, want)
 	}
-	d := NewDecoder(body)
+	d := &decoder{buf: body}
 	if string(d.take(len(Magic))) != Magic {
 		return nil, fmt.Errorf("snapshot: bad magic")
 	}
-	if v := d.U16(); v != Version {
+	if v := d.u16(); v != Version {
 		return nil, fmt.Errorf("snapshot: format version %d, this build reads version %d", v, Version)
 	}
-	n := int(d.U32())
+	n := int(d.u32())
 	// Every section costs at least 8 framing bytes (the label and payload
 	// length prefixes), which bounds how many the remaining body can hold.
 	// Checking before the preallocation keeps a hostile count field from
 	// sizing an allocation the data could never fill.
-	if maxSecs := d.Remaining() / 8; n > maxSecs {
-		return nil, fmt.Errorf("snapshot: section count %d exceeds what %d remaining bytes can frame", n, d.Remaining())
+	if maxSecs := d.remaining() / 8; n > maxSecs {
+		return nil, fmt.Errorf("snapshot: section count %d exceeds what %d remaining bytes can frame", n, d.remaining())
 	}
 	secs := make([]Section, 0, n)
 	for i := 0; i < n; i++ {
-		label := d.Str()
-		payload := d.Blob()
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("snapshot: section %d: %w", i, err)
+		label := d.str()
+		payload := d.blob()
+		if d.err != nil {
+			return nil, fmt.Errorf("snapshot: section %d: %w", i, d.err)
 		}
 		secs = append(secs, Section{Label: label, Payload: payload})
 	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after %d sections", d.Remaining(), n)
+	if d.remaining() != 0 {
+		return nil, fmt.Errorf("snapshot: %d trailing bytes after %d sections", d.remaining(), n)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	return secs, nil
 }
 
-// Restore checks a checkpoint against the registered layers: framing and
-// CRC first, then the section list (labels and order must match the
-// registry exactly), then each layer's Restore against its payload.
+// Restore checks a checkpoint against the registered layers under the
+// replay-twin contract: framing and CRC first, then the section list
+// (labels and order must match the registry exactly), then each layer's
+// live state, encoded from scratch and byte-compared with its payload.
+// The first divergence is reported with its section and offset.
 func (r *Registry) Restore(data []byte) error {
 	secs, err := Parse(data)
 	if err != nil {
@@ -373,16 +286,19 @@ func (r *Registry) Restore(data []byte) error {
 		if s.Label != reg.label {
 			return fmt.Errorf("snapshot: section %d is %q, registry expects %q", i, s.Label, reg.label)
 		}
-		if err := reg.restore(NewDecoder(s.Payload)); err != nil {
-			return fmt.Errorf("snapshot: section %q: %w", s.Label, err)
+		if live := reg.encode(); !bytes.Equal(s.Payload, live) {
+			return fmt.Errorf("snapshot: section %q: live state diverges from checkpoint at byte %d (checkpoint %d bytes, live %d bytes)",
+				s.Label, firstDiff(s.Payload, live), len(s.Payload), len(live))
 		}
 	}
 	return nil
 }
 
 // Diff describes where two checkpoints first diverge, section by section —
-// the lockstep divergence detector's failure report. It returns "" when
-// the checkpoints are byte-identical.
+// the lockstep divergence detector's failure report. Sections are compared
+// in the first checkpoint's wire order, then the labels only the second
+// one has, so the report names the earliest diverging layer. It returns ""
+// when the checkpoints are byte-identical.
 func Diff(a, b []byte) string {
 	if bytes.Equal(a, b) {
 		return ""
@@ -392,32 +308,25 @@ func Diff(a, b []byte) string {
 	if errA != nil || errB != nil {
 		return fmt.Sprintf("checkpoints differ and at least one is unparseable (a: %v, b: %v)", errA, errB)
 	}
-	labels := make(map[string]bool)
-	var order []string
-	index := func(secs []Section) map[string][]byte {
-		m := make(map[string][]byte)
-		for _, s := range secs {
-			m[s.Label] = s.Payload
-			if !labels[s.Label] {
-				labels[s.Label] = true
-				order = append(order, s.Label)
-			}
-		}
-		return m
+	inB := make(map[string][]byte, len(sb))
+	for _, s := range sb {
+		inB[s.Label] = s.Payload
 	}
-	ma, mb := index(sa), index(sb)
-	sort.Strings(order)
-	for _, label := range order {
-		pa, oka := ma[label]
-		pb, okb := mb[label]
+	inA := make(map[string]bool, len(sa))
+	for _, s := range sa {
+		inA[s.Label] = true
+		pb, ok := inB[s.Label]
 		switch {
-		case !oka:
-			return fmt.Sprintf("section %q present only in second checkpoint", label)
-		case !okb:
-			return fmt.Sprintf("section %q present only in first checkpoint", label)
-		case !bytes.Equal(pa, pb):
+		case !ok:
+			return fmt.Sprintf("section %q present only in first checkpoint", s.Label)
+		case !bytes.Equal(s.Payload, pb):
 			return fmt.Sprintf("section %q diverges at byte %d (%d vs %d bytes)",
-				label, firstDiff(pa, pb), len(pa), len(pb))
+				s.Label, firstDiff(s.Payload, pb), len(s.Payload), len(pb))
+		}
+	}
+	for _, s := range sb {
+		if !inA[s.Label] {
+			return fmt.Sprintf("section %q present only in second checkpoint", s.Label)
 		}
 	}
 	return "checkpoints differ only in framing (section order or count)"

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"hash/crc32"
 	"path/filepath"
 	"strings"
@@ -9,68 +10,59 @@ import (
 
 func crc32ChecksumForTest(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
+// TestEncodeDecodeRoundtrip pins every encoder primitive's wire bytes and
+// reads them back through a checkpoint's framing.
 func TestEncodeDecodeRoundtrip(t *testing.T) {
+	encode := func(e *Encoder) {
+		e.U8(7)
+		e.U16(65500)
+		e.U32(1 << 30)
+		e.U64(1 << 60)
+		e.I64(-42)
+		e.F64(3.5)
+		e.Bool(true)
+		e.Bool(false)
+		e.Str("hello")
+		e.Blob([]byte{1, 2, 3})
+	}
+	want := []byte{
+		7,          // U8
+		0xff, 0xdc, // U16 65500
+		0x40, 0, 0, 0, // U32 1<<30
+		0x10, 0, 0, 0, 0, 0, 0, 0, // U64 1<<60
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xd6, // I64 -42
+		0x40, 0x0c, 0, 0, 0, 0, 0, 0, // F64 3.5
+		1, 0, // Bool true, false
+		0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o', // Str
+		0, 0, 0, 3, 1, 2, 3, // Blob
+	}
 	e := NewEncoder()
-	e.U8(7)
-	e.U16(65500)
-	e.U32(1 << 30)
-	e.U64(1 << 60)
-	e.I64(-42)
-	e.F64(3.5)
-	e.Bool(true)
-	e.Bool(false)
-	e.Str("hello")
-	e.Blob([]byte{1, 2, 3})
+	encode(e)
+	if !bytes.Equal(e.Data(), want) {
+		t.Fatalf("encoded % x\nwant    % x", e.Data(), want)
+	}
 
-	d := NewDecoder(e.Data())
-	if got := d.U8(); got != 7 {
-		t.Errorf("U8 = %d", got)
+	r := NewRegistry()
+	r.Add("layer", encode)
+	secs, err := Parse(r.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := d.U16(); got != 65500 {
-		t.Errorf("U16 = %d", got)
-	}
-	if got := d.U32(); got != 1<<30 {
-		t.Errorf("U32 = %d", got)
-	}
-	if got := d.U64(); got != 1<<60 {
-		t.Errorf("U64 = %d", got)
-	}
-	if got := d.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := d.F64(); got != 3.5 {
-		t.Errorf("F64 = %g", got)
-	}
-	if got := d.Bool(); !got {
-		t.Errorf("Bool = false, want true")
-	}
-	if got := d.Bool(); got {
-		t.Errorf("Bool = true, want false")
-	}
-	if got := d.Str(); got != "hello" {
-		t.Errorf("Str = %q", got)
-	}
-	if got := d.Blob(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Blob = %v", got)
-	}
-	if d.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", d.Remaining())
-	}
-	if d.Err() != nil {
-		t.Errorf("Err = %v", d.Err())
+	if len(secs) != 1 || secs[0].Label != "layer" || !bytes.Equal(secs[0].Payload, want) {
+		t.Errorf("parsed sections = %+v, want one %q section with the encoded payload", secs, "layer")
 	}
 }
 
 func TestDecoderStickyError(t *testing.T) {
-	d := NewDecoder([]byte{1})
-	if got := d.U64(); got != 0 {
-		t.Errorf("underflow U64 = %d, want 0", got)
+	d := &decoder{buf: []byte{1}}
+	if got := d.u32(); got != 0 {
+		t.Errorf("underflow u32 = %d, want 0", got)
 	}
-	if d.Err() == nil {
+	if d.err == nil {
 		t.Fatal("expected sticky error after underflow")
 	}
 	// Every further read stays zero-valued without panicking.
-	if d.U8() != 0 || d.Str() != "" || d.F64() != 0 {
+	if d.u16() != 0 || d.str() != "" || d.blob() != nil {
 		t.Error("reads after error must return zero values")
 	}
 }
@@ -85,12 +77,10 @@ func (f *fakeLayer) Snapshot(e *Encoder) {
 	e.Str(f.text)
 }
 
-func (f *fakeLayer) Restore(d *Decoder) error { return Verify(d, f.Snapshot) }
-
 func buildRegistry(a, b *fakeLayer) *Registry {
 	r := NewRegistry()
-	r.Add("layer/a", a)
-	r.Add("layer/b", b)
+	r.Add("layer/a", a.Snapshot)
+	r.Add("layer/b", b.Snapshot)
 	return r
 }
 
@@ -160,18 +150,30 @@ func TestDiffNamesDivergingSection(t *testing.T) {
 	if Diff(c1, c1) != "" {
 		t.Error("Diff of identical checkpoints not empty")
 	}
+
+	// When several sections diverge, Diff names the first in wire order,
+	// not the alphabetically first label.
+	mk := func(sim, account uint64) []byte {
+		r := NewRegistry()
+		r.Add("sim", (&fakeLayer{value: sim}).Snapshot)
+		r.Add("account", (&fakeLayer{value: account}).Snapshot)
+		return r.Checkpoint()
+	}
+	if d := Diff(mk(1, 1), mk(2, 2)); !strings.Contains(d, `"sim"`) {
+		t.Errorf("Diff = %q, want it to name sim, the first diverging section in wire order", d)
+	}
 }
 
 func TestRestoreRejectsSectionMismatch(t *testing.T) {
 	full := buildRegistry(&fakeLayer{}, &fakeLayer{}).Checkpoint()
 	partial := NewRegistry()
-	partial.Add("layer/a", &fakeLayer{})
+	partial.Add("layer/a", (&fakeLayer{}).Snapshot)
 	if err := partial.Restore(full); err == nil {
 		t.Error("section-count mismatch accepted")
 	}
 	renamed := NewRegistry()
-	renamed.Add("layer/a", &fakeLayer{})
-	renamed.Add("layer/c", &fakeLayer{})
+	renamed.Add("layer/a", (&fakeLayer{}).Snapshot)
+	renamed.Add("layer/c", (&fakeLayer{}).Snapshot)
 	if err := renamed.Restore(full); err == nil {
 		t.Error("section-label mismatch accepted")
 	}
@@ -202,13 +204,14 @@ func TestFileRoundtripValidatesCRC(t *testing.T) {
 }
 
 func TestVerifyReportsOffset(t *testing.T) {
-	enc := NewEncoder()
-	enc.U64(100)
-	enc.U64(200)
-	dec := NewDecoder(enc.Data())
-	err := Verify(dec, func(e *Encoder) { e.U64(100); e.U64(201) })
+	second := uint64(200)
+	r := NewRegistry()
+	r.Add("layer", func(e *Encoder) { e.U64(100); e.U64(second) })
+	ckpt := r.Checkpoint()
+	second = 201
+	err := r.Restore(ckpt)
 	if err == nil {
-		t.Fatal("Verify of diverged state succeeded")
+		t.Fatal("Restore of diverged state succeeded")
 	}
 	if !strings.Contains(err.Error(), "byte 15") {
 		t.Errorf("err = %v, want divergence at byte 15", err)

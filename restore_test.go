@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"psbox"
+	"psbox/internal/sandbox"
 	"psbox/internal/snapshot"
 )
 
@@ -202,5 +203,69 @@ func TestAuditCadence(t *testing.T) {
 	sys.Run(50 * psbox.Millisecond)
 	if got := sys.Audits(); got != 10 {
 		t.Fatalf("audits after disable = %d, want 10", got)
+	}
+}
+
+// TestRestoreVerifiesEverySection: the checkpoint registry is the one
+// replay-twin verifier. A one-byte change to any section's payload,
+// re-framed with a fresh CRC so that it passes Parse, must fail
+// System.Restore naming exactly that section and byte. The System carries
+// every optional section: tracing and profiling, the sandbox manager with
+// a live session, armed faults and one section registered by the
+// embedding program.
+func TestRestoreVerifiesEverySection(t *testing.T) {
+	horizon := 60 * psbox.Millisecond
+	sys := buildCrashSystem(7, horizon, "nic-flap", nil)
+	sys.EnableProfiling()
+	if _, err := sys.Sandboxes().Launch(sandbox.Spec{Name: "spin", BudgetW: 2, Start: func(app *psbox.App) {
+		app.Spawn("spin", 1, psbox.Loop(psbox.Compute{Cycles: 5e5}, psbox.Sleep{D: 3 * psbox.Millisecond}))
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	sys.RegisterSnapshotter("extra", func(enc *snapshot.Encoder) { enc.U64(42) })
+	sys.Run(horizon)
+	sys.FoldProfile()
+
+	ckpt := sys.Snapshot()
+	if err := sys.Restore(ckpt); err != nil {
+		t.Fatalf("restore of its own checkpoint: %v", err)
+	}
+	secs, err := snapshot.Parse(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, s := range secs {
+		labels = append(labels, s.Label)
+	}
+	want := "sim hw/cpu hw/dsp hw/gpu hw/wifi hw/display hw/gps hw/dram kernel kernel/sched kernel/accel/dsp kernel/accel/gpu " +
+		"kernel/net meter core core/invariants faults obs obs/profile account sandbox extra"
+	if got := strings.Join(labels, " "); got != want {
+		t.Fatalf("sections = %s\nwant       %s", got, want)
+	}
+
+	for i, s := range secs {
+		if len(s.Payload) == 0 {
+			continue
+		}
+		at := len(s.Payload) / 2
+		reg := snapshot.NewRegistry()
+		for j, o := range secs {
+			payload := o.Payload
+			if j == i {
+				payload = bytes.Clone(payload)
+				payload[at] ^= 0xff
+			}
+			reg.Add(o.Label, func(enc *snapshot.Encoder) {
+				for _, b := range payload {
+					enc.U8(b)
+				}
+			})
+		}
+		want := fmt.Sprintf("snapshot: section %q: live state diverges from checkpoint at byte %d (checkpoint %d bytes, live %d bytes)",
+			s.Label, at, len(s.Payload), len(s.Payload))
+		if err := sys.Restore(reg.Checkpoint()); err == nil || err.Error() != want {
+			t.Errorf("section %q flipped at byte %d: Restore error = %v\nwant %s", s.Label, at, err, want)
+		}
 	}
 }

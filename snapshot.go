@@ -15,50 +15,47 @@ import (
 // embedding program (e.g. a userspace daemon).
 func (s *System) registry() *snapshot.Registry {
 	reg := snapshot.NewRegistry()
-	reg.Add("sim", s.Eng)
-	c := s.Kernel.CPU()
-	reg.AddFuncs("hw/cpu", c.Snapshot, c.RestoreSnapshot)
+	reg.Add("sim", s.Eng.Snapshot)
+	reg.Add("hw/cpu", s.Kernel.CPU().Snapshot)
 	for _, name := range s.Kernel.AccelNames() {
-		dev := s.Kernel.Accel(name).Device()
-		reg.AddFuncs("hw/"+name, dev.Snapshot, dev.RestoreSnapshot)
+		reg.Add("hw/"+name, s.Kernel.Accel(name).Device().Snapshot)
 	}
 	if nd := s.Kernel.Net(); nd != nil {
-		n := nd.NIC()
-		reg.AddFuncs("hw/wifi", n.Snapshot, n.RestoreSnapshot)
+		reg.Add("hw/wifi", nd.NIC().Snapshot)
 	}
 	if d := s.Kernel.Display(); d != nil {
-		reg.Add("hw/display", d)
+		reg.Add("hw/display", d.Snapshot)
 	}
 	if g := s.Kernel.GPS(); g != nil {
-		reg.Add("hw/gps", g)
+		reg.Add("hw/gps", g.Snapshot)
 	}
 	if d := s.Kernel.DRAM(); d != nil {
-		reg.Add("hw/dram", d)
+		reg.Add("hw/dram", d.Snapshot)
 	}
-	reg.Add("kernel", s.Kernel)
-	reg.Add("kernel/sched", s.Kernel.Scheduler())
+	reg.Add("kernel", s.Kernel.Snapshot)
+	reg.Add("kernel/sched", s.Kernel.Scheduler().Snapshot)
 	for _, name := range s.Kernel.AccelNames() {
-		reg.Add("kernel/accel/"+name, s.Kernel.Accel(name))
+		reg.Add("kernel/accel/"+name, s.Kernel.Accel(name).Snapshot)
 	}
 	if nd := s.Kernel.Net(); nd != nil {
-		reg.Add("kernel/net", nd)
+		reg.Add("kernel/net", nd.Snapshot)
 	}
-	reg.Add("meter", s.Meter)
-	reg.Add("core", s.Sandbox)
+	reg.Add("meter", s.Meter.Snapshot)
+	reg.Add("core", s.Sandbox.Snapshot)
 	if s.Invariants != nil {
-		reg.Add("core/invariants", s.Invariants)
+		reg.Add("core/invariants", s.Invariants.Snapshot)
 	}
 	if s.Faults != nil {
-		reg.Add("faults", s.Faults)
+		reg.Add("faults", s.Faults.Snapshot)
 	}
-	reg.Add("obs", s.Trace)
+	reg.Add("obs", s.Trace.Snapshot)
 	if s.Profile.Armed() {
 		// The profiler's section exists only once a scenario has enabled
 		// profiling, so the checkpoint wire format of pre-existing
 		// scenarios is unchanged.
-		reg.Add("obs/profile", s.Profile)
+		reg.Add("obs/profile", s.Profile.Snapshot)
 	}
-	snapRecorders := func(enc *snapshot.Encoder) {
+	reg.Add("account", func(enc *snapshot.Encoder) {
 		names := make([]string, 0, len(s.Recorders))
 		for name := range s.Recorders {
 			names = append(names, name)
@@ -69,34 +66,34 @@ func (s *System) registry() *snapshot.Registry {
 			enc.Str(name)
 			s.Recorders[name].Snapshot(enc)
 		}
-	}
-	reg.AddFuncs("account", snapRecorders, snapshot.VerifyFunc(snapRecorders))
+	})
 	if s.sandboxes != nil {
 		// The session manager's section exists only in scenarios that use
 		// it, so the checkpoint wire format of pre-existing scenarios is
 		// unchanged.
-		reg.Add("sandbox", s.sandboxes)
+		reg.Add("sandbox", s.sandboxes.Snapshot)
 	}
 	for _, ex := range s.extraSnaps {
-		reg.Add(ex.label, ex.s)
+		reg.Add(ex.label, ex.snap)
 	}
 	return reg
 }
 
 type extraSnap struct {
 	label string
-	s     snapshot.Snapshotter
+	snap  func(*snapshot.Encoder)
 }
 
 // RegisterSnapshotter appends a scenario-level layer (e.g. a userspace
-// daemon) to the system's checkpoint, after all built-in sections.
-func (s *System) RegisterSnapshotter(label string, snap snapshot.Snapshotter) {
+// daemon) to the system's checkpoint, after all built-in sections. snap
+// encodes the layer's live state, usually its Snapshot method.
+func (s *System) RegisterSnapshotter(label string, snap func(*snapshot.Encoder)) {
 	for _, ex := range s.extraSnaps {
 		if ex.label == label {
 			panic(fmt.Sprintf("psbox: snapshotter %q already registered", label))
 		}
 	}
-	s.extraSnaps = append(s.extraSnaps, extraSnap{label: label, s: snap})
+	s.extraSnaps = append(s.extraSnaps, extraSnap{label: label, snap: snap})
 }
 
 // Snapshot captures the whole simulated stack as one versioned,
@@ -106,11 +103,11 @@ func (s *System) Snapshot() []byte { return s.registry().Checkpoint() }
 
 // Restore verifies a checkpoint against this system under the replay-twin
 // contract: the system must have been rebuilt from the same scenario and
-// deterministically replayed to the checkpoint instant. Every layer
-// re-encodes its live state and byte-compares it against the checkpoint;
-// the first divergence is reported with its section and offset. State is
-// never overwritten — a restore that silently patched state would mask
-// replay divergence instead of exposing it.
+// deterministically replayed to the checkpoint instant. The registry
+// re-encodes every layer's live state and byte-compares it against the
+// checkpoint; the first divergence is reported with its section and
+// offset. State is never overwritten — a restore that silently patched
+// state would mask replay divergence instead of exposing it.
 func (s *System) Restore(data []byte) error { return s.registry().Restore(data) }
 
 // SetAuditEvery arms a recurring mid-run invariant audit every period of
