@@ -42,12 +42,13 @@
 // disables it too, since staleness is only meaningful against the full
 // suite's findings.
 //
-// Scopes of the twelve analyzers:
+// Scopes of the eleven analyzers:
 //
 //	nowallclock    — psbox/internal/... (cmd tools may report host time)
 //	nomathrand     — every package (internal/sim/rand.go itself exempt)
 //	noconcurrency  — every package (escape: //psbox:allow-noconcurrency)
-//	maporder       — every package
+//	maporder       — every package (whole-program dataflow for
+//	                 accumulation through locals and helper calls)
 //	energyaccum    — every package (internal/meter, core/vmeter.go exempt)
 //	snapshotstate  — every package (escape: //psbox:allow-snapshotstate)
 //	obsdeterminism — instrumented internal subtrees (sim, kernel, hw,
@@ -55,7 +56,6 @@
 //	                 instead
 //	walltaint      — psbox/internal/... (whole-program taint)
 //	unbilledenergy — psbox/internal/... (whole-program pairing)
-//	maporderflow   — every package (whole-program dataflow)
 //	goroutineconfine — every package (whole-program spawn/capture model)
 //	locksetatomic  — every package that uses host concurrency (goroutines
 //	                 or the sync packages); pure sim packages are exempt

@@ -18,22 +18,14 @@ import (
 	"psbox/internal/sim"
 )
 
-// Policy selects the division heuristic.
+// Policy names a division heuristic. Usage share is the only one: the
+// Accountant divides each sample in proportion to each app's hardware
+// occupancy within the sampling interval (AppScope-style, ref [96]), and
+// intervals with no usage are unattributed.
 type Policy int
 
-const (
-	// PolicyUsageShare divides each sample in proportion to each app's
-	// hardware occupancy within the sampling interval (AppScope-style,
-	// ref [96]); intervals with no usage are unattributed.
-	PolicyUsageShare Policy = iota
-	// PolicyUsageShareTail is PolicyUsageShare, but idle intervals are
-	// attributed to the app that used the hardware most recently — the
-	// Eprof-style tail heuristic (ref [70]) needed for WiFi tail energy.
-	PolicyUsageShareTail
-	// PolicyEvenSplit divides each busy sample evenly among the apps
-	// active in the interval, regardless of how much each used.
-	PolicyEvenSplit
-)
+// PolicyUsageShare is the usage-share heuristic.
+const PolicyUsageShare Policy = 0
 
 // Recorder accumulates occupancy spans for one rail: one interval per
 // core occupancy, command execution or frame airtime of one app on the
@@ -65,12 +57,11 @@ func (r *Recorder) Len() int { return len(r.spans) }
 // mutate). Trace rendering uses this to draw multiplexing timelines.
 func (r *Recorder) Spans() []obs.Interval { return r.spans }
 
-// Accountant divides one rail's metered power among apps.
+// Accountant divides one rail's metered power among apps by usage share.
 type Accountant struct {
 	Rail   *power.Rail
 	Rec    *Recorder
 	Window sim.Duration // sampling interval; 10 µs in the paper's setup
-	Policy Policy
 }
 
 // Shares returns each app's attributed energy over [from, to).
@@ -130,18 +121,15 @@ func (a *Accountant) window() sim.Duration {
 	return a.Window
 }
 
-// each divides the rail energy of every window of [from, to) by the
-// policy and emits each owner's nonzero share, owners ascending within a
+// each divides the rail energy of every window of [from, to) by usage
+// share and emits each owner's nonzero share, owners ascending within a
 // window. Windows that drew no energy are skipped without a sweep query;
 // the next query applies their edges.
 //
-// Its cost follows what [from, to) contains, not the run's history. The
-// usage-share and even-split policies emit nothing for a window no span
-// overlaps, so they sweep only the spans ending after from (a suffix,
-// since spans are End-ordered) and jump from an idle window to the one
-// containing the next busy instant. The tail policy bills idle windows to
-// an owner any earlier span may name, so it sweeps every span and visits
-// every window.
+// Its cost follows what [from, to) contains, not the run's history. A
+// window no span overlaps emits nothing, so each sweeps only the spans
+// ending after from (a suffix, since spans are End-ordered) and jumps
+// from an idle window to the one containing the next busy instant.
 func (a *Accountant) each(from, to sim.Time, emit func(wStart sim.Time, owner int, e power.Joules)) {
 	if to <= from {
 		return
@@ -149,46 +137,29 @@ func (a *Accountant) each(from, to sim.Time, emit func(wStart sim.Time, owner in
 	w := a.window()
 	rail := a.Rail.Cursor(from, to)
 	spans := a.Rec.spans
-	tail := a.Policy == PolicyUsageShareTail
-	if !tail {
-		spans = spans[sort.Search(len(spans), func(i int) bool { return spans[i].End > from }):]
-	}
+	spans = spans[sort.Search(len(spans), func(i int) bool { return spans[i].End > from }):]
 	sw := obs.NewSweep(spans)
 	for lo := from; lo < to; lo = lo.Add(w) {
-		if !tail {
-			next, ok := sw.NextBusy(lo)
-			if !ok || next >= to {
-				return
-			}
-			lo = lo.Add(next.Sub(lo) / w * w)
+		next, ok := sw.NextBusy(lo)
+		if !ok || next >= to {
+			return
 		}
+		lo = lo.Add(next.Sub(lo) / w * w)
 		hi := min(lo.Add(w), to)
 		energy := rail.EnergyBetween(lo, hi)
 		if energy <= 0 {
 			continue
 		}
 		uses, _ := sw.Window(lo, hi)
-		switch {
-		case len(uses) == 0 && tail:
-			if owner, ok := sw.LastIdle(); ok {
-				emit(lo, owner, energy)
-			}
-		case a.Policy == PolicyEvenSplit:
-			for _, u := range uses {
-				emit(lo, u.Owner, energy/float64(len(uses)))
-			}
-		default:
-			// Total usage in float seconds, summed in ascending-owner
-			// order: float addition is not associative, so any other
-			// order would move each app's share in the last bits between
-			// seeded runs.
-			var total float64
-			for _, u := range uses {
-				total += u.Occ.Seconds()
-			}
-			for _, u := range uses {
-				emit(lo, u.Owner, energy*u.Occ.Seconds()/total)
-			}
+		// Total usage in float seconds, summed in ascending-owner order:
+		// float addition is not associative, so any other order would
+		// move each app's share in the last bits between seeded runs.
+		var total float64
+		for _, u := range uses {
+			total += u.Occ.Seconds()
+		}
+		for _, u := range uses {
+			emit(lo, u.Owner, energy*u.Occ.Seconds()/total)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestExclusiveUsageFullyAttributed(t *testing.T) {
 	e.Run(sim.Time(100 * ms))
 	rec.Record(1, 0, sim.Time(40*ms))
 	rec.Record(2, sim.Time(40*ms), sim.Time(100*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	shares := acc.Shares(0, sim.Time(100*ms))
 	if !almost(shares[1], 2.0*0.040) || !almost(shares[2], 2.0*0.060) {
 		t.Fatalf("shares = %v", shares)
@@ -42,7 +42,7 @@ func TestOverlappingUsageSplitsByOccupancy(t *testing.T) {
 	// whole time: even split of the entangled rail.
 	rec.Record(1, 0, sim.Time(100*ms))
 	rec.Record(2, 0, sim.Time(100*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	shares := acc.Shares(0, sim.Time(100*ms))
 	if !almost(shares[1], 0.15) || !almost(shares[2], 0.15) {
 		t.Fatalf("shares = %v", shares)
@@ -56,7 +56,7 @@ func TestProportionalSplit(t *testing.T) {
 	rec.Record(1, 0, sim.Time(10*ms))
 	rec.Record(1, 0, sim.Time(10*ms))
 	rec.Record(2, 0, sim.Time(10*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	shares := acc.Shares(0, sim.Time(10*ms))
 	if !almost(shares[1], 2.0/3*0.010) || !almost(shares[2], 1.0/3*0.010) {
 		t.Fatalf("shares = %v", shares)
@@ -67,7 +67,7 @@ func TestIdleWindowsUnattributedByDefault(t *testing.T) {
 	e, rail, rec := setup(t, 1.0)
 	e.Run(sim.Time(100 * ms))
 	rec.Record(1, 0, sim.Time(10*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	shares := acc.Shares(0, sim.Time(100*ms))
 	if !almost(shares[1], 0.010) {
 		t.Fatalf("shares = %v", shares)
@@ -78,33 +78,6 @@ func TestIdleWindowsUnattributedByDefault(t *testing.T) {
 	}
 	if !almost(total, 0.010) {
 		t.Fatalf("idle energy leaked into shares: %v", shares)
-	}
-}
-
-func TestTailPolicyChargesLastUser(t *testing.T) {
-	e, rail, rec := setup(t, 1.0)
-	e.Run(sim.Time(100 * ms))
-	rec.Record(1, 0, sim.Time(10*ms))
-	rec.Record(2, sim.Time(20*ms), sim.Time(30*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShareTail}
-	shares := acc.Shares(0, sim.Time(100*ms))
-	// App 1: its 10ms + the 10ms idle gap it "caused". App 2: its 10ms +
-	// the 70ms trailing idle.
-	if !almost(shares[1], 0.020) || !almost(shares[2], 0.080) {
-		t.Fatalf("shares = %v", shares)
-	}
-}
-
-func TestEvenSplitPolicy(t *testing.T) {
-	e, rail, rec := setup(t, 2.0)
-	e.Run(sim.Time(10 * ms))
-	rec.Record(1, 0, sim.Time(10*ms))
-	rec.Record(1, 0, sim.Time(10*ms)) // heavy user
-	rec.Record(2, 0, sim.Time(10*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyEvenSplit}
-	shares := acc.Shares(0, sim.Time(10*ms))
-	if !almost(shares[1], 0.010) || !almost(shares[2], 0.010) {
-		t.Fatalf("even split wrong: %v", shares)
 	}
 }
 
@@ -127,7 +100,7 @@ func TestEntanglementSurvivesDivision(t *testing.T) {
 		if coRunner {
 			rec.Record(2, 0, sim.Time(100*ms))
 		}
-		acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+		acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 		return acc.AppEnergy(1, 0, sim.Time(100*ms))
 	}
 	alone, entangled := run(false), run(true)
@@ -141,7 +114,7 @@ func TestSeriesBuckets(t *testing.T) {
 	e, rail, rec := setup(t, 1.0)
 	e.Run(sim.Time(20 * ms))
 	rec.Record(1, 0, sim.Time(10*ms))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	s := acc.Series(1, 0, sim.Time(20*ms), 5*ms)
 	if len(s) != 4 {
 		t.Fatalf("buckets = %d", len(s))
@@ -176,7 +149,7 @@ func TestWindowClippingAtRangeEnd(t *testing.T) {
 	e, rail, rec := setup(t, 1.0)
 	e.Run(sim.Time(105 * sim.Microsecond))
 	rec.Record(1, 0, sim.Time(105*sim.Microsecond))
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	if got := acc.AppEnergy(1, 0, sim.Time(105*sim.Microsecond)); !almost(got, 105e-6) {
 		t.Fatalf("energy = %v", got)
 	}
@@ -192,7 +165,7 @@ func TestAppEnergyAllocsIndependentOfWindows(t *testing.T) {
 		start := sim.Time(i) * sim.Time(2*ms)
 		rec.Record(1+i%3, start, start.Add(3*ms))
 	}
-	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+	acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 	allocs := func(to sim.Time) float64 {
 		return testing.AllocsPerRun(10, func() { acc.AppEnergy(1, 0, to) })
 	}
@@ -244,7 +217,7 @@ func TestSharesBytesIndependentOfHistory(t *testing.T) {
 			rec.Record(1+i%3, start, start.Add(200*sim.Microsecond))
 		}
 		e.Run(to)
-		acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond, Policy: PolicyUsageShare}
+		acc := &Accountant{Rail: rail, Rec: rec, Window: 10 * sim.Microsecond}
 		return bytesPerRun(20, func() { acc.Shares(from, to) })
 	}
 	if few, many := bytes(1000), bytes(100000); many != few {
@@ -272,23 +245,12 @@ func wholeHistoryEach(a *Accountant, from, to sim.Time, emit func(wStart sim.Tim
 			continue
 		}
 		uses, _ := sw.Window(lo, hi)
-		switch {
-		case len(uses) == 0 && a.Policy == PolicyUsageShareTail:
-			if owner, ok := sw.LastIdle(); ok {
-				emit(lo, owner, energy)
-			}
-		case a.Policy == PolicyEvenSplit:
-			for _, u := range uses {
-				emit(lo, u.Owner, energy/float64(len(uses)))
-			}
-		default:
-			var total float64
-			for _, u := range uses {
-				total += u.Occ.Seconds()
-			}
-			for _, u := range uses {
-				emit(lo, u.Owner, energy*u.Occ.Seconds()/total)
-			}
+		var total float64
+		for _, u := range uses {
+			total += u.Occ.Seconds()
+		}
+		for _, u := range uses {
+			emit(lo, u.Owner, energy*u.Occ.Seconds()/total)
 		}
 	}
 }
@@ -377,8 +339,8 @@ func randomUsage(rnd *sim.Rand, w sim.Duration, horizon sim.Time) (*power.Rail, 
 }
 
 // TestMatchesWholeHistoryReference checks Shares, AppEnergy and Series
-// bit for bit against the whole-history reference on seeded usage, under
-// every policy: monitor-like contiguous calls from > 0, each made when
+// bit for bit against the whole-history reference on seeded usage:
+// monitor-like contiguous calls from > 0, each made when
 // only the spans completed by its end are recorded (so spans straddle
 // from), and one-shot calls from 0 and from mid-run over the whole
 // record. Neither from nor to need fall on a window boundary.
@@ -388,34 +350,32 @@ func TestMatchesWholeHistoryReference(t *testing.T) {
 		w := sim.Duration(10 + rnd.Intn(30))
 		horizon := sim.Time(w) * sim.Time(1500+rnd.Intn(1500))
 		rail, spans := randomUsage(rnd, w, horizon)
-		for _, policy := range []Policy{PolicyUsageShare, PolicyUsageShareTail, PolicyEvenSplit} {
-			acc := &Accountant{Rail: rail, Rec: &Recorder{}, Window: w, Policy: policy}
-			ref := wholeHistory{acc}
-			check := func(from, to sim.Time) {
-				t.Helper()
-				if got, want := acc.Shares(from, to), ref.Shares(from, to); !maps.Equal(got, want) {
-					t.Fatalf("seed %d policy %d Shares(%d, %d) = %v, want %v", seed, policy, from, to, got, want)
-				}
-				owner := 1 + rnd.Intn(5) // owner 5 never records a span
-				if got, want := acc.AppEnergy(owner, from, to), ref.AppEnergy(owner, from, to); got != want {
-					t.Fatalf("seed %d policy %d AppEnergy(%d, %d, %d) = %v, want %v", seed, policy, owner, from, to, got, want)
-				}
-				step := sim.Duration(rnd.Intn(int(5 * w)))
-				if got, want := acc.Series(owner, from, to, step), ref.Series(owner, from, to, step); !slices.Equal(got, want) {
-					t.Fatalf("seed %d policy %d Series(%d, %d, %d, %d) = %v, want %v", seed, policy, owner, from, to, step, got, want)
-				}
+		acc := &Accountant{Rail: rail, Rec: &Recorder{}, Window: w}
+		ref := wholeHistory{acc}
+		check := func(from, to sim.Time) {
+			t.Helper()
+			if got, want := acc.Shares(from, to), ref.Shares(from, to); !maps.Equal(got, want) {
+				t.Fatalf("seed %d Shares(%d, %d) = %v, want %v", seed, from, to, got, want)
 			}
-			tick := w*sim.Duration(10+rnd.Intn(100)) + sim.Duration(rnd.Intn(int(w)))
-			next := 0
-			for from := sim.Time(0); from < horizon; from = from.Add(tick) {
-				to := min(from.Add(tick), horizon)
-				for ; next < len(spans) && spans[next].End <= to; next++ {
-					acc.Rec.Record(spans[next].Owner, spans[next].Start, spans[next].End)
-				}
-				check(from, to)
+			owner := 1 + rnd.Intn(5) // owner 5 never records a span
+			if got, want := acc.AppEnergy(owner, from, to), ref.AppEnergy(owner, from, to); got != want {
+				t.Fatalf("seed %d AppEnergy(%d, %d, %d) = %v, want %v", seed, owner, from, to, got, want)
 			}
-			check(0, horizon)
-			check(sim.Time(rnd.Int63n(int64(horizon))), horizon)
+			step := sim.Duration(rnd.Intn(int(5 * w)))
+			if got, want := acc.Series(owner, from, to, step), ref.Series(owner, from, to, step); !slices.Equal(got, want) {
+				t.Fatalf("seed %d Series(%d, %d, %d, %d) = %v, want %v", seed, owner, from, to, step, got, want)
+			}
 		}
+		tick := w*sim.Duration(10+rnd.Intn(100)) + sim.Duration(rnd.Intn(int(w)))
+		next := 0
+		for from := sim.Time(0); from < horizon; from = from.Add(tick) {
+			to := min(from.Add(tick), horizon)
+			for ; next < len(spans) && spans[next].End <= to; next++ {
+				acc.Rec.Record(spans[next].Owner, spans[next].Start, spans[next].End)
+			}
+			check(from, to)
+		}
+		check(0, horizon)
+		check(sim.Time(rnd.Int63n(int64(horizon))), horizon)
 	}
 }

@@ -4,7 +4,7 @@
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer holds a name, a doc string, and a Run function over a
 // type-checked package — but is built only on the standard library so the
-// module stays dependency-free. Twelve analyzers enforce the simulator's
+// module stays dependency-free. Eleven analyzers enforce the simulator's
 // determinism, checkpoint, billing, and observability contracts (see
 // DESIGN.md §"Determinism contract", §"Checkpoint/restore" and
 // §"Observability"):
@@ -12,7 +12,9 @@
 //	nowallclock    — no time.Now/Sleep/Since/After inside internal/
 //	nomathrand     — no math/rand outside internal/sim/rand.go
 //	noconcurrency  — no goroutines, channels, or sync in sim packages
-//	maporder       — no order-sensitive work inside map-range loops
+//	maporder       — no order-sensitive work inside map-range loops,
+//	                 float accumulation through locals and helper calls
+//	                 included (whole-program)
 //	energyaccum    — no ad-hoc += into energy/joule/charge accumulators
 //	snapshotstate  — no stateful field left unencoded by the struct's
 //	                 Encoder-taking methods
@@ -21,8 +23,6 @@
 //	                 state, snapshot writers, or obs events (whole-program)
 //	unbilledenergy — rail power transitions must be billed into
 //	                 internal/account on every path (whole-program)
-//	maporderflow   — maporder's float-accumulation rule through locals
-//	                 and helper calls (whole-program)
 //	goroutineconfine — confined values (System, snapshot encoders, obs bus,
 //	                 scenario RNG) reachable from at most one goroutine;
 //	                 channel send transfers ownership (whole-program)
@@ -51,6 +51,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -168,8 +169,15 @@ type fileDirectives struct {
 var directiveRe = regexp.MustCompile(`^//psbox:allow-([a-z]+)(?:\s+(.*))?$`)
 
 // scanDirectives indexes every allow directive in the package and reports
-// directives that omit the mandatory reason.
+// directives that omit the mandatory reason or name no analyzer: a
+// misspelt name, or one left behind by a removed analyzer, would
+// otherwise waive nothing without a word.
 func scanDirectives(fset *token.FileSet, files []*ast.File, report func(token.Pos, string)) map[string]*fileDirectives {
+	var names []string
+	for _, a := range append(All(), StaleAllows) {
+		names = append(names, a.Name)
+	}
+	sort.Strings(names)
 	out := make(map[string]*fileDirectives)
 	for _, f := range files {
 		fd := &fileDirectives{}
@@ -183,6 +191,10 @@ func scanDirectives(fset *token.FileSet, files []*ast.File, report func(token.Po
 				name, reason := m[1], strings.TrimSpace(m[2])
 				if reason == "" {
 					report(c.Pos(), fmt.Sprintf("psbox:allow-%s directive requires a reason", name))
+					continue
+				}
+				if !slices.Contains(names, name) {
+					report(c.Pos(), fmt.Sprintf("psbox:allow-%s directive names no analyzer (known: %s)", name, strings.Join(names, ", ")))
 					continue
 				}
 				e := &directiveEntry{name: name, pos: c.Pos(), end: c.End()}
@@ -298,11 +310,11 @@ func (p *Pass) Filename(n ast.Node) string {
 }
 
 // All is the complete suite in stable order. walltaint, unbilledenergy,
-// maporderflow, and goroutineconfine are interprocedural; when run through
-// RunAnalyzers' single-package wrapper they see a one-package program and
-// degrade to intraprocedural checking.
+// goroutineconfine and maporder's read-modify-write half are
+// interprocedural; when run through RunAnalyzers' single-package wrapper
+// they see a one-package program and degrade to intraprocedural checking.
 func All() []*Analyzer {
-	return []*Analyzer{NoWallClock, NoMathRand, NoConcurrency, MapOrder, EnergyAccum, SnapshotState, ObsDeterminism, WallTaint, UnbilledEnergy, MapOrderFlow, GoroutineConfine, LockSetAtomic}
+	return []*Analyzer{NoWallClock, NoMathRand, NoConcurrency, MapOrder, EnergyAccum, SnapshotState, ObsDeterminism, WallTaint, UnbilledEnergy, GoroutineConfine, LockSetAtomic}
 }
 
 // obsInstrumented are the package subtrees that emit on the observability
@@ -352,8 +364,9 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunAnalyzersProgram applies each analyzer to one package of prog and
-// returns the findings sorted by position. Malformed allow directives are
-// reported once per package under the pseudo-analyzer name "directive".
+// returns the findings sorted by position, ties in the order reported.
+// Malformed allow directives are reported once per package under the
+// pseudo-analyzer name "directive".
 func RunAnalyzersProgram(prog *Program, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	dirs := scanDirectives(pkg.Fset, pkg.Files, func(pos token.Pos, msg string) {
@@ -377,7 +390,7 @@ func RunAnalyzersProgram(prog *Program, pkg *Package, analyzers []*Analyzer) []D
 		}
 		a.Run(pass)
 	}
-	sort.Slice(diags, func(i, j int) bool {
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename

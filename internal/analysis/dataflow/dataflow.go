@@ -38,8 +38,9 @@ import (
 
 // Labels is an element of the taint lattice: two bitsets whose meaning
 // each analyzer chooses. walltaint uses Kinds for wall-clock/env/pid/%p
-// sources and Params for "flows from parameter i"; maporderflow uses Kinds
-// bit 0 for "derived from the loop" and Params for accumulator identity.
+// sources and Params for "flows from parameter i"; maporder uses the
+// first Kinds bit past walltaint's for "derived from the loop" and Params
+// for accumulator identity.
 type Labels struct {
 	Kinds  uint64
 	Params uint64
@@ -297,20 +298,6 @@ func (a *Analysis) Of(o types.Object) Labels {
 	var l Labels
 	for _, m := range a.cells[o] {
 		l = l.Union(m)
-	}
-	return l
-}
-
-// OfPath reports the labels observable at one access path of an object:
-// the path's own cell, every prefix cell (a label on the whole object
-// covers each field), and every extension cell (a label anywhere inside
-// x.f is visible when reading all of x.f).
-func (a *Analysis) OfPath(o types.Object, path string) Labels {
-	var l Labels
-	for p, m := range a.cells[o] {
-		if covers(p, path) || covers(path, p) {
-			l = l.Union(m)
-		}
 	}
 	return l
 }

@@ -149,3 +149,34 @@ func f() {
 		t.Errorf("directive for another analyzer must not suppress nowallclock: %v", diags)
 	}
 }
+
+func TestUnknownDirectiveIsReported(t *testing.T) {
+	// A misspelt name, or one left behind by a removed analyzer, waives
+	// nothing and would never be judged stale: the scanner reports it.
+	pkg := loadFixture(t, "p", `package p
+
+func f() {
+	//psbox:allow-noconcurrencyy fire-and-forget host logging
+	go f()
+}
+`)
+	diags := analysis.RunAnalyzers(pkg, append(analysis.All(), analysis.StaleAllows))
+	var haveDirective, haveGo bool
+	for _, d := range diags {
+		switch d.Analyzer {
+		case "directive":
+			haveDirective = strings.Contains(d.Message, "psbox:allow-noconcurrencyy directive names no analyzer") &&
+				strings.Contains(d.Message, "maporder, noconcurrency, nomathrand")
+		case "noconcurrency":
+			haveGo = true
+		default:
+			t.Errorf("unexpected finding: %s", d)
+		}
+	}
+	if !haveDirective {
+		t.Errorf("directive naming no analyzer not reported with the known names: %v", diags)
+	}
+	if !haveGo {
+		t.Errorf("a directive naming no analyzer must not suppress anything: %v", diags)
+	}
+}

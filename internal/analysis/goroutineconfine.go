@@ -19,7 +19,7 @@ import (
 // The model is positional, not flow-sensitive: a spawner that provably
 // rejoins the goroutine (wg.Wait, reading a done channel) before reusing
 // the value is still reported and needs a reasoned
-// //psbox:allow-goroutineconfine directive — see DESIGN.md rule 11 for
+// //psbox:allow-goroutineconfine directive — see DESIGN.md rule 10 for
 // the soundness caveats.
 var GoroutineConfine = &Analyzer{
 	Name: "goroutineconfine",

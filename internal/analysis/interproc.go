@@ -4,16 +4,16 @@ import (
 	"go/ast"
 	"go/types"
 
-	"psbox/internal/analysis/callgraph"
 	"psbox/internal/analysis/dataflow"
 )
 
 // This file holds the plumbing shared by the interprocedural analyzers
-// (walltaint, unbilledenergy, maporderflow): parameter seeding for the
-// dataflow engine, call walking, and the generic per-path flow summaries
-// (which parameters reach the return value at which access paths, and
-// which labels a function stores through its pointer-like parameters)
-// that maporderflow and walltaint map helper calls through.
+// (walltaint, unbilledenergy, maporder): parameter seeding for the
+// dataflow engine, summary extraction, and call walking. The per-path
+// flow summaries themselves (which parameters reach the return value at
+// which access paths, and which labels a function stores through its
+// pointer-like parameters) come from walltaint's one bottom-up pass,
+// which maporder maps helper calls through as well.
 
 // seedFunc seeds every parameter of a declared function with its position
 // label, receiver first, matching the position convention of
@@ -132,31 +132,4 @@ func funcDesc(fn *types.Func) string {
 		return pkg.Name() + "." + name
 	}
 	return name
-}
-
-// flowSummaries computes, once per program, each function's per-path flow
-// summary: which parameter positions flow into its return values at which
-// access paths, and which labels it stores through pointer-like
-// parameters. maporderflow maps values through helper calls with it;
-// callees outside the program fall back to the engine's conservative
-// default at the call site.
-func flowSummaries(prog *Program) map[*types.Func]dataflow.Summary {
-	v := prog.Fact("flowsum", func() any {
-		g := prog.CallGraph()
-		return dataflow.Fixpoint(g, func(n *callgraph.Node, get func(*types.Func) dataflow.Summary) dataflow.Summary {
-			info := n.Pkg.Info
-			hooks := dataflow.Hooks{
-				Call: func(call *ast.CallExpr, args *dataflow.CallArgs) (dataflow.Value, bool) {
-					callee := callgraph.StaticCallee(info, call)
-					if callee == nil || g.Node(callee) == nil {
-						return nil, false
-					}
-					return get(callee).Apply(args), true
-				},
-			}
-			a := dataflow.Run(info, n.Decl.Body, seedFunc(info, n.Decl), hooks)
-			return summarize(a, info, n.Decl)
-		}, dataflow.Summary.Equal)
-	})
-	return v.(map[*types.Func]dataflow.Summary)
 }

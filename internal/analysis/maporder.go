@@ -6,6 +6,9 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"psbox/internal/analysis/callgraph"
+	"psbox/internal/analysis/dataflow"
 )
 
 // MapOrder flags range-over-map loops whose body does order-sensitive
@@ -18,16 +21,28 @@ import (
 //     function later sorts that slice (the collect-keys-then-sort idiom);
 //   - writing output (fmt.Print/Fprint family, Write* methods);
 //   - scheduling sim events (After/At/Schedule on a sim Engine);
-//   - accumulating into an outer float or string: float addition is not
-//     associative, so the total depends on visit order.
+//   - accumulating into an outer float, complex or string: float addition
+//     is not associative, so the total depends on visit order.
+//
+// Accumulation is caught in two forms. An op-assign (sum += v) is flagged
+// syntactically, with a sorted-keys rewrite as its fix. A plain
+// assignment (sum = add(sum, v), or tmp := v * w; sum = sum + tmp) is
+// flagged when the taint engine finds its right-hand side derived from
+// both the loop's iteration variables and the accumulator's own previous
+// value, with helper calls, cross-package ones included, mapped through
+// walltaint's program-wide flow summaries. That read-modify-write half
+// covers map ranges in function declarations, not in function literals.
 //
 // Pure reductions that are order-independent — integer sums, min/max
-// tracking, per-key map writes (m[k] += ...) — stay legal.
+// tracking (min/max builtins and math.Min/math.Max included), per-key map
+// writes (m[k] += ...), and rescaling the accumulator without reading the
+// loop variables (sum = sum * 2) — stay legal.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: `flag order-sensitive work (appends without a sort, output writes,
-sim-event scheduling, float/string accumulation) inside range-over-map
-loops, where iteration order is randomized per run.`,
+sim-event scheduling, float/string accumulation, directly or through
+locals and helper calls) inside range-over-map loops, where iteration
+order is randomized per run.`,
 	Run: runMapOrder,
 }
 
@@ -159,6 +174,26 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, fn ast.Node) {
 		}
 		return true
 	})
+	if _, ok := fn.(*ast.FuncDecl); ok {
+		checkReadModifyWrite(pass, rng)
+	}
+}
+
+// accumKind names the order-sensitive accumulation a type admits: float
+// and complex addition is not associative and string concatenation order
+// is visible; integer sums are exact and stay legal.
+func accumKind(t types.Type) (string, bool) {
+	basic, ok := t.Underlying().(*types.Basic)
+	if !ok {
+		return "", false
+	}
+	switch {
+	case basic.Info()&(types.IsFloat|types.IsComplex) != 0:
+		return "float", true
+	case basic.Info()&types.IsString != 0:
+		return "string", true
+	}
+	return "", false
 }
 
 func checkAssign(pass *Pass, as *ast.AssignStmt, rng *ast.RangeStmt, fn ast.Node) {
@@ -201,8 +236,8 @@ func checkAssign(pass *Pass, as *ast.AssignStmt, rng *ast.RangeStmt, fn ast.Node
 		if !ok || tv.Type == nil {
 			return
 		}
-		basic, ok := tv.Type.Underlying().(*types.Basic)
-		if !ok || basic.Info()&(types.IsFloat|types.IsComplex|types.IsString) == 0 {
+		kind, ok := accumKind(tv.Type)
+		if !ok {
 			return
 		}
 		if idx, ok := lhs.(*ast.IndexExpr); ok && mentionsLoopVar(pass, idx.Index, rng) {
@@ -216,14 +251,146 @@ func checkAssign(pass *Pass, as *ast.AssignStmt, rng *ast.RangeStmt, fn ast.Node
 		if obj == nil || declaredWithin(obj, rng) {
 			return
 		}
-		kind := "float"
-		if basic.Info()&types.IsString != 0 {
-			kind = "string"
-		}
 		pass.Report(as.Pos(),
 			fmt.Sprintf("%s accumulation into %s inside range over map depends on iteration order; iterate sorted keys", kind, exprText(lhs)),
 			sortedKeysFix(pass, rng, fn)...)
 	}
+}
+
+// loopKind is the Kinds bit marking "derived from this loop's iteration
+// variables": the first bit past walltaint's source kinds, which the flow
+// summaries carry in, so a helper's own clock read never looks
+// loop-derived.
+const loopKind = len(wallTaintKindNames)
+
+// checkReadModifyWrite is the dataflow half of the accumulation rule. The
+// engine runs over the loop body only: the read-modify-write cycle being
+// hunted lives entirely inside the loop, and scoping out the rest of the
+// function keeps the surrounding code's writes from feeding the
+// accumulator's identity back into the container being ranged over.
+func checkReadModifyWrite(pass *Pass, rng *ast.RangeStmt) {
+	info := pass.Info
+
+	// Candidates: plain writes to a float, complex or string variable
+	// declared outside the loop. Writes through an index or field are
+	// per-key and order-free. Each accumulator gets a private Param bit as
+	// its identity through the engine.
+	type write struct {
+		as *ast.AssignStmt
+		i  int
+	}
+	var writes []write
+	bit := make(map[types.Object]int)
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			obj := objOf(info, id)
+			if obj == nil || declaredWithin(obj, rng) {
+				continue
+			}
+			if _, ok := accumKind(obj.Type()); !ok {
+				continue
+			}
+			if _, seen := bit[obj]; !seen && len(bit) < 64 {
+				bit[obj] = len(bit)
+			}
+			writes = append(writes, write{as, i})
+		}
+		return true
+	})
+	if len(bit) == 0 {
+		return
+	}
+
+	seed := make(map[types.Object]dataflow.Labels)
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if id := rootIdent(e); id != nil {
+			if o := objOf(info, id); o != nil {
+				seed[o] = dataflow.Kind(loopKind)
+			}
+		}
+	}
+	for o, b := range bit {
+		seed[o] = seed[o].Union(dataflow.Param(b))
+	}
+	g := pass.Prog.CallGraph()
+	sums := wallTaintSummaries(pass.Prog)
+	a := dataflow.Run(info, rng.Body, seed, dataflow.Hooks{
+		Call: func(call *ast.CallExpr, args *dataflow.CallArgs) (dataflow.Value, bool) {
+			if orderFree(info, call) {
+				// min/max reductions are commutative and exact: the
+				// result no longer depends on visit order.
+				var l dataflow.Labels
+				for i := 0; i < args.NumParams(); i++ {
+					l = l.Union(args.Labels(i))
+				}
+				l.Kinds = 0
+				out := dataflow.Value{}
+				if !l.Empty() {
+					out[""] = l
+				}
+				return out, true
+			}
+			callee := callgraph.StaticCallee(info, call)
+			if callee == nil || g.Node(callee) == nil {
+				return nil, false
+			}
+			return sums[callee].flow.Apply(args), true
+		},
+	})
+
+	reported := make(map[types.Object]bool)
+	for _, w := range writes {
+		id := w.as.Lhs[w.i].(*ast.Ident)
+		obj := objOf(info, id)
+		b, isCand := bit[obj]
+		if !isCand || reported[obj] {
+			continue
+		}
+		var rhs ast.Expr
+		switch {
+		case len(w.as.Rhs) == len(w.as.Lhs):
+			rhs = w.as.Rhs[w.i]
+		case len(w.as.Rhs) == 1:
+			rhs = w.as.Rhs[0]
+		default:
+			continue
+		}
+		l := a.Expr(rhs)
+		if l.Kinds&(1<<loopKind) == 0 || l.Params&(1<<uint(b)) == 0 {
+			continue
+		}
+		reported[obj] = true
+		kind, _ := accumKind(obj.Type())
+		pass.Reportf(w.as.Pos(),
+			"%s accumulation into %s depends on map iteration order (value flows through intermediates back into %s); iterate sorted keys", kind, id.Name, id.Name)
+	}
+}
+
+// orderFree matches the builtin min/max and math.Min/math.Max calls whose
+// results are independent of reduction order.
+func orderFree(info *types.Info, call *ast.CallExpr) bool {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if b, ok := info.Uses[fun].(*types.Builtin); ok {
+			return b.Name() == "min" || b.Name() == "max"
+		}
+	case *ast.SelectorExpr:
+		if name, ok := qualifiedName(info, fun, "math"); ok {
+			return name == "Min" || name == "Max"
+		}
+	}
+	return false
 }
 
 // sortedKeysFix rewrites a range-over-map loop into the

@@ -17,9 +17,8 @@ import (
 // Encoder-taking methods really miss. StaleAllows must
 // therefore be appended LAST to the analyzer list, and only alongside the
 // full suite — running it after a single analyzer would flag every other
-// analyzer's legitimate directives. Only directives naming a known
-// analyzer are judged; malformed names are already reported by the
-// directive scanner.
+// analyzer's legitimate directives. Directives with no reason or naming
+// no analyzer never reach it: the directive scanner reports those.
 var StaleAllows = &Analyzer{
 	Name: "staleallows",
 	Doc: `flag //psbox:allow-* directives that suppressed no finding in a
@@ -29,10 +28,6 @@ last, after every analyzer it audits.`,
 }
 
 func runStaleAllows(pass *Pass) {
-	known := make(map[string]bool)
-	for _, a := range All() {
-		known[a.Name] = true
-	}
 	for _, f := range pass.Files {
 		filename := pass.Fset.Position(f.Pos()).Filename
 		fd := pass.directives[filename]
@@ -40,7 +35,7 @@ func runStaleAllows(pass *Pass) {
 			continue
 		}
 		for _, e := range fd.entries {
-			if e.used || !known[e.name] {
+			if e.used {
 				continue
 			}
 			pass.Report(e.pos,

@@ -1,12 +1,12 @@
-// Package a exercises maporderflow: order-sensitive accumulation inside a
-// range over a map is flagged even when routed through intermediate
-// locals or helper calls — the flows maporder's syntactic rule misses.
+// Package a exercises maporder's read-modify-write half: accumulation
+// inside a range over a map is flagged even when routed through
+// intermediate locals or helper calls, which no op-assign shows.
 package a
 
 import (
+	"maporder/flow/b"
 	"math"
-
-	"maporderflow/b"
+	"time"
 )
 
 // The accumulation hides behind an intermediate local.
@@ -94,4 +94,25 @@ func Rescale(m map[string]float64, factor float64) float64 {
 		total = total * factor
 	}
 	return total
+}
+
+// The read-modify-write half answers to maporder's own directive, and a
+// full-suite run counts the directive as used.
+func AllowedViaHelper(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m {
+		//psbox:allow-maporder tolerance-checked aggregate, compared with an epsilon
+		sum = b.Add(sum, v)
+	}
+	return sum
+}
+
+// A helper's own clock read is a host value, not a loop-derived one:
+// legal here (walltaint polices where host values land).
+func ViaClock(m map[string]float64, t0 time.Time) float64 {
+	sum := 0.0
+	for range m {
+		sum = sum + b.Elapsed(t0)
+	}
+	return sum
 }

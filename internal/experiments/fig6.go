@@ -46,7 +46,6 @@ type fig6Scenario struct {
 	victim     string
 	coRunners  [][]string
 	span       sim.Duration
-	policy     account.Policy
 	coSaturate bool // co-runners run back to back (SDK benchmark kernels)
 }
 
@@ -55,23 +54,23 @@ func fig6Scenarios() []fig6Scenario {
 		{
 			scope: psbox.HWCPU, platform: psbox.NewAM57, victim: "calib3d",
 			coRunners: [][]string{{"bodytrack"}, {"dedup"}},
-			span:      3 * sim.Second, policy: account.PolicyUsageShare,
+			span:      3 * sim.Second,
 		},
 		{
 			scope: psbox.HWDSP, platform: psbox.NewAM57, victim: "dgemm",
-			coRunners: [][]string{{"sgemm"}, {"monte", "sgemm"}},
-			span:      5 * sim.Second, policy: account.PolicyUsageShare,
+			coRunners:  [][]string{{"sgemm"}, {"monte", "sgemm"}},
+			span:       5 * sim.Second,
 			coSaturate: true,
 		},
 		{
 			scope: psbox.HWGPU, platform: psbox.NewAM57, victim: "browser",
 			coRunners: [][]string{{"magic"}, {"triangle"}},
-			span:      3 * sim.Second, policy: account.PolicyUsageShare,
+			span:      3 * sim.Second,
 		},
 		{
 			scope: psbox.HWWiFi, platform: psbox.NewBeagleBone, victim: "browserw",
 			coRunners: [][]string{{"scp"}, {"wget"}},
-			span:      4 * sim.Second, policy: account.PolicyUsageShare,
+			span:      4 * sim.Second,
 		},
 	}
 }
@@ -101,7 +100,7 @@ func Fig6(seed uint64) Fig6Result {
 				install(sys, c, sc.coSaturate)
 			}
 			sys.Run(sc.span)
-			acc := sys.Accountant(string(sc.scope), sc.policy)
+			acc := sys.Accountant(string(sc.scope), account.PolicyUsageShare)
 			return mj(acc.AppEnergy(victim.ID, 0, sys.Now()))
 		}
 

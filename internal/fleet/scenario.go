@@ -9,6 +9,7 @@ import (
 	"psbox/internal/obs/profile"
 	"psbox/internal/sandbox"
 	"psbox/internal/sim"
+	"psbox/internal/soak"
 )
 
 // DefaultScenario is the fleet's canonical per-shard workload: the mobile
@@ -23,31 +24,7 @@ func DefaultScenario(shard int, seed uint64, horizon sim.Duration) *psbox.System
 	sys.EnableProfiling()
 	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
 
-	vision := sys.Kernel.NewApp("vision")
-	vision.Spawn("render", 0, psbox.Loop(
-		psbox.Compute{Cycles: 2e6},
-		psbox.SubmitAccel{Dev: "gpu", Kind: "frame", Work: 3e4, DynW: 0.9},
-		psbox.AwaitAccel{Dev: "gpu", MaxBacklog: 2},
-		psbox.Sleep{D: 4 * psbox.Millisecond},
-	))
-	sys.Sandbox.MustCreate(vision, psbox.HWCPU, psbox.HWGPU).Enter()
-
-	stream := sys.Kernel.NewApp("stream")
-	sock := stream.OpenSocket()
-	stream.Spawn("uplink", 1, psbox.Loop(
-		psbox.Compute{Cycles: 8e5},
-		psbox.Send{Socket: sock, Bytes: 24_000},
-		psbox.AwaitNet{MaxBacklog: 48_000},
-		psbox.Sleep{D: 6 * psbox.Millisecond},
-	))
-	sys.Sandbox.MustCreate(stream, psbox.HWCPU, psbox.HWWiFi).Enter()
-
-	noise := sys.Kernel.NewApp("noise")
-	noise.Spawn("grind", 1, psbox.Loop(
-		psbox.Compute{Cycles: 3e6},
-		psbox.SubmitAccel{Dev: "dsp", Kind: "fft", Work: 4e4, DynW: 0.5},
-		psbox.Sleep{D: 9 * psbox.Millisecond},
-	))
+	soak.Mix(sys)
 
 	sys.Faults.Randomize(faults.Campaign{
 		Horizon:       horizon,

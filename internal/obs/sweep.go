@@ -44,7 +44,6 @@ type Sweep struct {
 	uses   []Use          // the last window's answer
 	next   int            // first edge not yet applied
 	done   sim.Time       // end of the last window
-	idle   int            // rank whose open count last fell to zero, -1 if none
 }
 
 // Use is one owner's occupancy of a window.
@@ -57,7 +56,7 @@ type Use struct {
 // caller must not modify them while the sweep is in use. Intervals that
 // end at or before their start occupy nothing.
 func NewSweep(intervals []Interval) *Sweep {
-	s := &Sweep{ivs: intervals, done: math.MinInt64, idle: -1}
+	s := &Sweep{ivs: intervals, done: math.MinInt64}
 	for _, iv := range intervals {
 		if r, found := slices.BinarySearch(s.owners, iv.Owner); !found {
 			s.owners = slices.Insert(s.owners, r, iv.Owner)
@@ -136,16 +135,6 @@ func (s *Sweep) NextBusy(t sim.Time) (sim.Time, bool) {
 	return 0, false
 }
 
-// LastIdle reports the owner whose last open interval most recently
-// closed before the end of the last window — the tail heuristic's
-// culprit for an idle window — and false if none has closed yet.
-func (s *Sweep) LastIdle() (owner int, ok bool) {
-	if s.idle < 0 {
-		return 0, false
-	}
-	return s.owners[s.idle], true
-}
-
 func (s *Sweep) at(e uint32) sim.Time {
 	if e&1 == 0 {
 		return s.ivs[e>>1].Start
@@ -175,7 +164,6 @@ func (s *Sweep) apply(e uint32) {
 		i := slices.Index(s.active, r)
 		s.active[i] = s.active[len(s.active)-1]
 		s.active = s.active[:len(s.active)-1]
-		s.idle = int(r)
 	}
 }
 

@@ -153,31 +153,6 @@ func TestSweepNextBusyAgreesWithWindow(t *testing.T) {
 	}
 }
 
-func TestSweepLastIdle(t *testing.T) {
-	sw := NewSweep([]Interval{
-		{Start: 0, End: 20, Owner: 2},
-		{Start: 0, End: 10, Owner: 5},
-		{Start: 5, End: 10, Owner: 5},
-	})
-	for _, tc := range []struct {
-		lo, hi sim.Time
-		want   int // owner ID, -1 for none
-	}{
-		{0, 10, -1}, // owner 5 closes at 10, not before the window's end
-		{10, 15, 5},
-		{15, 30, 2},
-	} {
-		sw.Window(tc.lo, tc.hi)
-		got, ok := sw.LastIdle()
-		if !ok {
-			got = -1
-		}
-		if got != tc.want {
-			t.Fatalf("after [%d, %d): last idle owner %d, want %d", tc.lo, tc.hi, got, tc.want)
-		}
-	}
-}
-
 func TestSweepPanicsOnOutOfOrderWindow(t *testing.T) {
 	sw := NewSweep([]Interval{{Start: 0, End: 50, Owner: 1}})
 	sw.Window(10, 20)

@@ -8,16 +8,38 @@ import (
 
 // Scenario builds the canonical mixed-fault scenario that psbox-faults
 // reports on and psbox-soak crashes: the mobile platform with tracing and
-// accelerator watchdogs, two sandboxed apps and an unsandboxed competitor,
-// one fault of each kind at fixed fractions of the horizon plus a seeded
-// random campaign, and an invariant audit every horizon/20. A pure
-// function of (seed, horizon). The sandboxes come back from
-// sys.Sandbox.Boxes() in creation order: vision, then stream.
+// accelerator watchdogs running Mix, one fault of each kind at fixed
+// fractions of the horizon plus a seeded random campaign, and an
+// invariant audit every horizon/20. A pure function of (seed, horizon).
 func Scenario(seed uint64, horizon sim.Duration) *psbox.System {
 	sys := psbox.NewMobile(seed)
 	sys.EnableTracing()
 	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
 
+	Mix(sys)
+
+	at := func(frac float64) psbox.Time { return psbox.Time(float64(horizon) * frac) }
+	sys.Faults.HangAccelAt(at(0.10), "gpu")
+	sys.Faults.FlapLinkAt(at(0.25), "wifi", 15*psbox.Millisecond)
+	sys.Faults.StallDVFSAt(at(0.40), "cpu", 25*psbox.Millisecond)
+	sys.Faults.DropMeterAt(at(0.55), "gpu", 30*psbox.Millisecond)
+	sys.Faults.Randomize(faults.Campaign{
+		Horizon:       horizon,
+		AccelHangs:    2,
+		NICFlaps:      2,
+		DVFSStalls:    2,
+		MeterDropouts: 3,
+	})
+
+	sys.SetAuditEvery(horizon / 20)
+	return sys
+}
+
+// Mix installs the three-app mix that Scenario and the fleet's per-shard
+// workload share: two sandboxed apps and an unsandboxed competitor. The
+// sandboxes come back from sys.Sandbox.Boxes() in creation order: vision,
+// then stream.
+func Mix(sys *psbox.System) {
 	// A GPU-bound vision pipeline in a sandbox over cpu+gpu.
 	vision := sys.Kernel.NewApp("vision")
 	vision.Spawn("render", 0, psbox.Loop(
@@ -46,20 +68,4 @@ func Scenario(seed uint64, horizon sim.Duration) *psbox.System {
 		psbox.SubmitAccel{Dev: "dsp", Kind: "fft", Work: 4e4, DynW: 0.5},
 		psbox.Sleep{D: 9 * psbox.Millisecond},
 	))
-
-	at := func(frac float64) psbox.Time { return psbox.Time(float64(horizon) * frac) }
-	sys.Faults.HangAccelAt(at(0.10), "gpu")
-	sys.Faults.FlapLinkAt(at(0.25), "wifi", 15*psbox.Millisecond)
-	sys.Faults.StallDVFSAt(at(0.40), "cpu", 25*psbox.Millisecond)
-	sys.Faults.DropMeterAt(at(0.55), "gpu", 30*psbox.Millisecond)
-	sys.Faults.Randomize(faults.Campaign{
-		Horizon:       horizon,
-		AccelHangs:    2,
-		NICFlaps:      2,
-		DVFSStalls:    2,
-		MeterDropouts: 3,
-	})
-
-	sys.SetAuditEvery(horizon / 20)
-	return sys
 }

@@ -526,8 +526,8 @@ func (s *System) Sandboxes() *sandbox.Manager {
 }
 
 // Accountant builds the baseline comparator over one rail — the "existing
-// approach" columns of Fig. 6.
-func (s *System) Accountant(rail string, policy account.Policy) *account.Accountant {
+// approach" columns of Fig. 6. Usage share is the only policy.
+func (s *System) Accountant(rail string, _ account.Policy) *account.Accountant {
 	rec, ok := s.Recorders[rail]
 	if !ok {
 		panic("psbox: no usage recorder for rail " + rail)
@@ -536,6 +536,5 @@ func (s *System) Accountant(rail string, policy account.Policy) *account.Account
 		Rail:   s.Meter.Rail(rail),
 		Rec:    rec,
 		Window: s.Meter.Period(),
-		Policy: policy,
 	}
 }
