@@ -85,16 +85,18 @@ func (mgr *Manager) SetBus(b *obs.Bus) { mgr.bus = b }
 // NewManager builds the psbox service over a kernel and its meter.
 func NewManager(k *kernel.Kernel, m *meter.Meter) *Manager {
 	mgr := &Manager{k: k, m: m, boxes: make(map[int]*Box), resident: make(map[HW]int)}
-	k.OnCPUResident(mgr.onCPUResident)
+	k.OnResident(string(HWCPU), mgr.onCPUResident)
 	for _, dev := range k.AccelNames() {
 		name := dev
-		k.OnAccelResident(name, func(appID int, r bool) { mgr.onDevResident(HW(name), appID, r) })
+		k.OnResident(name, func(appID int, r bool) { mgr.onDevResident(HW(name), appID, r) })
 	}
 	// The WiFi scope needs no residency routing for metering: its virtual
 	// meter reads the per-sandbox virtual NIC (§5), which by construction
 	// sees only the enclosed app's frames and tail. The balloon events
 	// still feed the exclusivity invariant.
-	k.OnNetResident(func(appID int, r bool) { mgr.trackResidency(HWWiFi, appID, r) })
+	if n := k.Net(); n != nil {
+		k.OnResident(n.NIC().Config().Name, func(appID int, r bool) { mgr.trackResidency(HWWiFi, appID, r) })
+	}
 	return mgr
 }
 

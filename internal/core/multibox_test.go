@@ -61,7 +61,7 @@ func TestTwoBoxesNeverResidentTogether(t *testing.T) {
 	}
 	resident := map[int]bool{}
 	violations := 0
-	sys.Kernel.OnCPUResident(func(appID int, r bool) {
+	sys.Kernel.OnResident("cpu", func(appID int, r bool) {
 		resident[appID] = r
 		n := 0
 		for _, v := range resident {

@@ -26,7 +26,7 @@ func TestVirtualGovernorRampsForSaturatingBox(t *testing.T) {
 	// Sample the frequency whenever the box is resident.
 	var atTop, total int
 	resident := false
-	sys.Kernel.OnCPUResident(func(id int, r bool) {
+	sys.Kernel.OnResident("cpu", func(id int, r bool) {
 		if id == app.ID {
 			resident = r
 		}
@@ -67,7 +67,7 @@ func TestVirtualGovernorStaysLowForLightBox(t *testing.T) {
 	box.Enter()
 	var aboveFloor, total, sharedTop, sharedTotal int
 	resident := false
-	sys.Kernel.OnCPUResident(func(id int, r bool) {
+	sys.Kernel.OnResident("cpu", func(id int, r bool) {
 		if id == app.ID {
 			resident = r
 		}

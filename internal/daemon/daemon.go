@@ -72,9 +72,6 @@ func NewRenderServer(k *kernel.Kernel, dev string, core int, aware bool) *Render
 // App returns the daemon's own principal.
 func (s *RenderServer) App() *kernel.App { return s.app }
 
-// Aware reports whether the daemon respects psbox boundaries.
-func (s *RenderServer) Aware() bool { return s.aware }
-
 // SetQueueBound changes the queue capacity; n must be positive.
 func (s *RenderServer) SetQueueBound(n int) {
 	if n <= 0 {
@@ -82,9 +79,6 @@ func (s *RenderServer) SetQueueBound(n int) {
 	}
 	s.maxQueue = n
 }
-
-// QueueBound reports the queue capacity.
-func (s *RenderServer) QueueBound() int { return s.maxQueue }
 
 // Submit enqueues a client request (the IPC into the daemon). Client
 // programs call this from their step functions; the enqueue itself is

@@ -39,7 +39,7 @@ func AltGang(seed uint64) AltGangResult {
 		victim := workload.Install(sys.Kernel, workload.Calib3D(2, false)) // paced: mostly idle
 		coRun := workload.Install(sys.Kernel, workload.Calib3D(2, true))   // saturating
 		var opens []sim.Time
-		sys.Kernel.OnCPUResident(func(app int, r bool) {
+		sys.Kernel.OnResident("cpu", func(app int, r bool) {
 			if app == victim.ID && r {
 				opens = append(opens, sys.Now())
 			}

@@ -182,9 +182,6 @@ func (c *CPU) OnFreqChange(fn func(oldIdx, newIdx int)) {
 	c.onFreqChange = append(c.onFreqChange, fn)
 }
 
-// CoreBusy reports whether a core is currently executing.
-func (c *CPU) CoreBusy(core int) bool { return c.busy[core] }
-
 // SetCoreBusy marks a core executing (busy=true) or idle. The kernel calls
 // this on every context switch to/from the idle task.
 func (c *CPU) SetCoreBusy(core int, busy bool) {

@@ -127,9 +127,6 @@ func (g *GPS) Config() Config { return g.cfg }
 // State reports the current coarse power state.
 func (g *GPS) State() State { return g.state }
 
-// Users reports how many apps hold the receiver open.
-func (g *GPS) Users() int { return g.users }
-
 // IdlePower is what sandboxes are fed while the device is off/suspended —
 // the off power, which reveals nothing about other apps' usage.
 func (g *GPS) IdlePower() power.Watts { return g.cfg.OffW }

@@ -207,30 +207,13 @@ func (r *Rail) SamplesBetween(a, b sim.Time, period sim.Duration, dst []Sample) 
 	return dst
 }
 
-// Segments returns the number of recorded power transitions; used by tests
-// and by trace rendering.
+// Segments returns the number of recorded power transitions.
 func (r *Rail) Segments() int { return len(r.segs) }
 
-// Breakpoints appends every (start, watts) transition in [a, b) to dst.
-// Trace rendering uses this to draw exact power curves.
-func (r *Rail) Breakpoints(a, b sim.Time, dst []Sample) []Sample {
-	i := r.locate(a)
-	for ; i < len(r.segs); i++ {
-		if r.segs[i].start >= b {
-			break
-		}
-		t := r.segs[i].start
-		if t < a {
-			t = a
-		}
-		dst = append(dst, Sample{T: t, W: r.segs[i].w})
-	}
-	return dst
-}
-
 // TrimBefore discards transition history strictly before t, keeping the
-// value in effect at t as the new first segment. Long-running simulations
-// call this to bound memory.
+// value in effect at t as the new first segment. Nothing calls it yet; it
+// is the primitive a bounded-history mode would use to cap memory on long
+// horizons.
 func (r *Rail) TrimBefore(t sim.Time) {
 	i := r.locate(t)
 	if i == 0 {

@@ -105,18 +105,6 @@ func TestRailSamples(t *testing.T) {
 	}
 }
 
-func TestRailBreakpoints(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewRail(e, "cpu", 1)
-	e.At(10, func(sim.Time) { r.Set(2) })
-	e.At(20, func(sim.Time) { r.Set(3) })
-	e.Run(30)
-	bp := r.Breakpoints(5, 25, nil)
-	if len(bp) != 3 || bp[0].T != 5 || bp[0].W != 1 || bp[1].T != 10 || bp[2].T != 20 {
-		t.Fatalf("breakpoints = %+v", bp)
-	}
-}
-
 func TestRailTrimBefore(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewRail(e, "cpu", 1)

@@ -9,9 +9,9 @@ package accel
 
 import (
 	"fmt"
-	"sort"
 
 	"psbox/internal/hw/accelhw"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/obs"
 	"psbox/internal/sim"
 )
@@ -49,26 +49,10 @@ func (p Phase) String() string {
 	}
 }
 
-// Callbacks connect the driver to the kernel and the psbox layer. All may
-// be nil.
-type Callbacks struct {
-	// BacklogChange fires whenever an app's backlog (pending + in-flight)
-	// may have shrunk; the kernel re-checks tasks waiting on the device.
-	BacklogChange func(appID int)
-	// BoxResident fires when a sandbox's exclusive service span begins or
-	// ends; the psbox virtual meter reads the device rail only inside it.
-	BoxResident func(appID int, resident bool)
-	// Usage reports one command's execution span for accounting (the
-	// baseline comparator consumes these).
-	Usage func(owner int, start, end sim.Time)
-}
-
 type appState struct {
-	id       int
-	vr       float64 // scheduling credit: slot-seconds of device usage
+	fair.App // credit: slot-seconds of device usage
 	pending  []*accelhw.Command
 	inflight int
-	boxed    bool
 	state    accelhw.FreqState // virtual power state while boxed
 
 	completed  uint64
@@ -76,6 +60,13 @@ type appState struct {
 	latencySum sim.Duration
 	latencyN   uint64
 }
+
+// busy reports pending or in-flight commands: the app competes for the
+// device.
+func (a *appState) busy() bool { return len(a.pending) > 0 || a.inflight > 0 }
+
+// hasPending reports commands the driver could dispatch.
+func (a *appState) hasPending() bool { return len(a.pending) > 0 }
 
 // graceDelay bounds how long a credit-ineligible sandbox waits for
 // momentarily idle competitors before its balloon may open anyway. Without
@@ -89,8 +80,8 @@ type Driver struct {
 	eng *sim.Engine
 	dev *accelhw.Device
 	//psbox:allow-snapshotstate wiring: callback closures installed at construction
-	cbs  Callbacks
-	apps map[int]*appState
+	cbs fair.Callbacks
+	led fair.Ledger[*appState]
 
 	phase       Phase
 	activeBox   *appState
@@ -98,8 +89,7 @@ type Driver struct {
 	lastBill    sim.Time
 	graceArm    sim.Handle
 
-	minVrFloor float64
-	nextCmdID  uint64
+	nextCmdID uint64
 
 	// Watchdog state (nil wd: disabled). The deadline is per executing
 	// command: the oldest one must complete within wd.Timeout of starting.
@@ -135,18 +125,18 @@ func (d *Driver) setPhase(p Phase) {
 	d.phase = p
 	owner := 0
 	if d.activeBox != nil {
-		owner = d.activeBox.id
+		owner = d.activeBox.ID
 	}
 	d.bus.Instant(obs.CatAccel, phaseKinds[p], owner, int64(p), d.dev.Config().Name, d.dev.Config().Name)
 }
 
 // New wires a driver to dev and installs its completion interrupt handler.
-func New(eng *sim.Engine, dev *accelhw.Device, cbs Callbacks) *Driver {
+func New(eng *sim.Engine, dev *accelhw.Device, cbs fair.Callbacks) *Driver {
 	d := &Driver{
-		eng:  eng,
-		dev:  dev,
-		cbs:  cbs,
-		apps: make(map[int]*appState),
+		eng: eng,
+		dev: dev,
+		cbs: cbs,
+		led: fair.NewLedger((*appState).busy, (*appState).hasPending),
 	}
 	dev.OnComplete(d.onComplete)
 	return d
@@ -155,24 +145,18 @@ func New(eng *sim.Engine, dev *accelhw.Device, cbs Callbacks) *Driver {
 // Device exposes the underlying hardware model.
 func (d *Driver) Device() *accelhw.Device { return d.dev }
 
-// Callbacks returns the currently installed callbacks.
-func (d *Driver) Callbacks() Callbacks { return d.cbs }
-
 // SetCallbacks replaces the driver's callbacks; the kernel uses this to
 // interpose its own routing when the driver is attached.
-func (d *Driver) SetCallbacks(cbs Callbacks) { d.cbs = cbs }
-
-// SetUsage installs just the usage recorder, preserving other callbacks.
-func (d *Driver) SetUsage(fn func(owner int, start, end sim.Time)) { d.cbs.Usage = fn }
+func (d *Driver) SetCallbacks(cbs fair.Callbacks) { d.cbs = cbs }
 
 // Phase reports the current balloon phase.
 func (d *Driver) Phase() Phase { return d.phase }
 
 func (d *Driver) app(id int) *appState {
-	a, ok := d.apps[id]
+	a, ok := d.led.Get(id)
 	if !ok {
-		a = &appState{id: id, vr: d.minVrFloor, state: accelhw.FreqState{FreqIdx: d.dev.Config().InitialFreqIdx}}
-		d.apps[id] = a
+		a = &appState{state: accelhw.FreqState{FreqIdx: d.dev.Config().InitialFreqIdx}}
+		d.led.Join(id, a)
 	}
 	return a
 }
@@ -191,11 +175,8 @@ func (d *Driver) Submit(owner int, cmd *accelhw.Command) {
 	d.bus.Instant(obs.CatAccel, "submit", owner, int64(cmd.ID), d.dev.Config().Name, cmd.Kind)
 	d.bus.Count("accel.submitted", owner, d.dev.Config().Name, 1)
 	a := d.app(owner)
-	if len(a.pending) == 0 && a.inflight == 0 {
-		// Returning from idle: no credit hoarding (cf. CFS min_vruntime).
-		if a.vr < d.minVrFloor {
-			a.vr = d.minVrFloor
-		}
+	if !a.busy() {
+		d.led.Wake(a)
 	}
 	a.pending = append(a.pending, cmd)
 	d.pump()
@@ -203,7 +184,7 @@ func (d *Driver) Submit(owner int, cmd *accelhw.Command) {
 
 // Backlog reports an app's pending plus in-flight command count.
 func (d *Driver) Backlog(appID int) int {
-	a, ok := d.apps[appID]
+	a, ok := d.led.Get(appID)
 	if !ok {
 		return 0
 	}
@@ -212,7 +193,7 @@ func (d *Driver) Backlog(appID int) int {
 
 // Completed reports how many commands an app has retired.
 func (d *Driver) Completed(appID int) uint64 {
-	if a, ok := d.apps[appID]; ok {
+	if a, ok := d.led.Get(appID); ok {
 		return a.completed
 	}
 	return 0
@@ -220,7 +201,7 @@ func (d *Driver) Completed(appID int) uint64 {
 
 // WorkDone reports the total work units an app has retired.
 func (d *Driver) WorkDone(appID int) float64 {
-	if a, ok := d.apps[appID]; ok {
+	if a, ok := d.led.Get(appID); ok {
 		return a.workDone
 	}
 	return 0
@@ -231,8 +212,8 @@ func (d *Driver) WorkDone(appID int) float64 {
 func (d *Driver) MeanDispatchLatency(appID int) sim.Duration {
 	var sum sim.Duration
 	var n uint64
-	for id, a := range d.apps {
-		if appID != 0 && id != appID {
+	for _, a := range d.led.Apps() {
+		if appID != 0 && a.ID != appID {
 			continue
 		}
 		sum += a.latencySum
@@ -246,8 +227,8 @@ func (d *Driver) MeanDispatchLatency(appID int) sim.Duration {
 
 // VRuntime exposes an app's scheduling credit for tests and traces.
 func (d *Driver) VRuntime(appID int) float64 {
-	if a, ok := d.apps[appID]; ok {
-		return a.vr
+	if a, ok := d.led.Get(appID); ok {
+		return a.Credit
 	}
 	return 0
 }
@@ -257,10 +238,10 @@ func (d *Driver) VRuntime(appID int) float64 {
 // for it, starting from the device's initial (cold) operating point.
 func (d *Driver) BoxEnter(appID int) {
 	a := d.app(appID)
-	if a.boxed {
+	if a.Boxed {
 		return
 	}
-	a.boxed = true
+	a.Boxed = true
 	a.state = accelhw.FreqState{FreqIdx: d.dev.Config().InitialFreqIdx}
 	d.pump()
 }
@@ -268,8 +249,8 @@ func (d *Driver) BoxEnter(appID int) {
 // BoxLeave dissolves an app's sandbox on this device. If its balloon is
 // active it is torn down; in-flight commands finish as ordinary work.
 func (d *Driver) BoxLeave(appID int) {
-	a, ok := d.apps[appID]
-	if !ok || !a.boxed {
+	a, ok := d.led.Get(appID)
+	if !ok || !a.Boxed {
 		return
 	}
 	if d.activeBox == a {
@@ -284,7 +265,7 @@ func (d *Driver) BoxLeave(appID int) {
 		d.setPhase(PhaseNone)
 		d.activeBox = nil
 	}
-	a.boxed = false
+	a.Boxed = false
 	d.pump()
 }
 
@@ -308,71 +289,12 @@ func (d *Driver) onComplete(cmd *accelhw.Command) {
 	// instead (settleBalloonBill), so its own completions bill nothing
 	// extra here.
 	if !(d.activeBox == a && (d.phase == PhaseServe || d.phase == PhaseDrainBox)) {
-		a.vr += cmd.Completed.Sub(cmd.Dispatched).Seconds()
+		a.Credit += cmd.Completed.Sub(cmd.Dispatched).Seconds()
 	}
 	d.pump()
 	if d.cbs.BacklogChange != nil {
 		d.cbs.BacklogChange(cmd.Owner)
 	}
-}
-
-// refreshFloor advances the newcomer credit floor to the minimum credit of
-// unboxed apps that currently compete. Boxed apps are excluded: their
-// credit is inflated by balloon billing, and letting it drag the floor up
-// would catapult returning apps past them — erasing the very charge that
-// confines the sandbox's cost.
-func (d *Driver) refreshFloor() {
-	min := -1.0
-	for _, a := range d.apps {
-		if a.boxed || (len(a.pending) == 0 && a.inflight == 0) {
-			continue
-		}
-		if min < 0 || a.vr < min {
-			min = a.vr
-		}
-	}
-	if min > d.minVrFloor {
-		d.minVrFloor = min
-	}
-}
-
-// pickPending returns the minimum-credit app with pending commands,
-// optionally restricted to boxed/unboxed apps. Ties break by app ID for
-// determinism.
-func (d *Driver) pickPending(boxed bool) *appState {
-	ids := make([]int, 0, len(d.apps))
-	for id := range d.apps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var best *appState
-	for _, id := range ids {
-		a := d.apps[id]
-		if a.boxed != boxed || len(a.pending) == 0 {
-			continue
-		}
-		if best == nil || a.vr < best.vr {
-			best = a
-		}
-	}
-	return best
-}
-
-// minOtherCredit reports the minimum credit among non-box apps with
-// demand; ok=false when none compete.
-func (d *Driver) minOtherCredit() (float64, bool) {
-	var min float64
-	found := false
-	for _, a := range d.apps {
-		if a == d.activeBox || len(a.pending) == 0 && a.inflight == 0 {
-			continue
-		}
-		if !found || a.vr < min {
-			min = a.vr
-			found = true
-		}
-	}
-	return min, found
 }
 
 // settleBalloonBill charges balloon wall-time to the sandboxed app since
@@ -399,10 +321,10 @@ func (d *Driver) settleBalloonBill() {
 			n = width - d.dev.Executing()
 		}
 		if n > 0 {
-			d.activeBox.vr += float64(n) * dt
+			d.activeBox.Credit += float64(n) * dt
 		}
 	case PhaseServe, PhaseDrainBox:
-		d.activeBox.vr += float64(width) * dt
+		d.activeBox.Credit += float64(width) * dt
 	}
 }
 
@@ -423,7 +345,7 @@ func (d *Driver) dispatch(a *appState) {
 // every submit, completion, and box transition.
 func (d *Driver) pump() {
 	d.settleBalloonBill()
-	d.refreshFloor()
+	d.led.Refresh()
 	switch d.phase {
 	case PhaseNone:
 		d.pumpNone()
@@ -448,12 +370,12 @@ func (d *Driver) pumpNone() {
 	// entanglement and the §6.3 "excessive draining time" that balloons
 	// must later pay for.
 	for d.dev.FreeSlots() > 0 {
-		other := d.pickPending(false)
-		box := d.pickPending(true)
+		other := d.led.Pick(false)
+		box := d.led.Pick(true)
 		// Fair choice among principals; a sandboxed app competes with its
 		// balloon-inclusive credit.
-		if box != nil && (other == nil || box.vr <= other.vr) {
-			if other == nil && !d.boxDeserves(box) {
+		if box != nil && (other == nil || box.Credit <= other.Credit) {
+			if other == nil && !d.led.Deserves(box) {
 				// Competitors are between requests but ahead on credit:
 				// hold the balloon back (briefly) rather than seizing the
 				// device and making their next requests eat a drain.
@@ -470,20 +392,6 @@ func (d *Driver) pumpNone() {
 	}
 }
 
-// boxDeserves reports whether the sandbox's credit is minimal among all
-// known apps, demand or not.
-func (d *Driver) boxDeserves(box *appState) bool {
-	for _, a := range d.apps {
-		if a == box || a.boxed {
-			continue
-		}
-		if box.vr > a.vr {
-			return false
-		}
-	}
-	return true
-}
-
 // armGrace schedules the starvation backstop: if nobody else has produced
 // demand by then, the waiting sandbox gets the device regardless of credit.
 func (d *Driver) armGrace() {
@@ -495,15 +403,15 @@ func (d *Driver) armGrace() {
 		if d.phase != PhaseNone {
 			return
 		}
-		box := d.pickPending(true)
+		box := d.led.Pick(true)
 		if box == nil {
 			return
 		}
 		// Competitors woke up in the meantime (pending or still executing):
 		// their next completion or submission re-drives admission; the
 		// backstop only covers a fully silent device.
-		for _, a := range d.apps {
-			if a != box && !a.boxed && (len(a.pending) > 0 || a.inflight > 0) {
+		for _, a := range d.led.Apps() {
+			if !a.Boxed && a.busy() {
 				d.pump()
 				return
 			}
@@ -530,7 +438,7 @@ func (d *Driver) beginServe() {
 	d.othersState = d.dev.State()
 	d.dev.Restore(d.activeBox.state)
 	if d.cbs.BoxResident != nil {
-		d.cbs.BoxResident(d.activeBox.id, true)
+		d.cbs.BoxResident(d.activeBox.ID, true)
 	}
 	d.pumpServe()
 }
@@ -548,7 +456,7 @@ func (d *Driver) pumpServe() {
 	}
 	// Phase 4 trigger: the scheduling policy decides others deserve the
 	// device once the sandbox's credit is no longer minimal.
-	if min, ok := d.minOtherCredit(); ok && a.vr > min {
+	if min, ok := d.led.MinOther(a); ok && a.Credit > min {
 		d.setPhase(PhaseDrainBox)
 		if a.inflight == 0 {
 			d.closeBalloon()
@@ -566,7 +474,7 @@ func (d *Driver) closeBalloon() {
 	d.setPhase(PhaseNone)
 	d.activeBox = nil
 	if d.cbs.BoxResident != nil {
-		d.cbs.BoxResident(a.id, false)
+		d.cbs.BoxResident(a.ID, false)
 	}
 	d.pumpNone()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"psbox/internal/hw/accelhw"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/sim"
 )
 
@@ -34,7 +35,7 @@ type fixture struct {
 func newFixture(t *testing.T, cfg accelhw.Config) *fixture {
 	f := &fixture{eng: sim.NewEngine(), resident: map[int]bool{}}
 	f.dev = accelhw.MustNew(f.eng, cfg)
-	f.drv = New(f.eng, f.dev, Callbacks{
+	f.drv = New(f.eng, f.dev, fair.Callbacks{
 		BoxResident: func(app int, r bool) { f.resident[app] = r },
 		Usage: func(owner int, s, e sim.Time) {
 			f.usage = append(f.usage, struct {

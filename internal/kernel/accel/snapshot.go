@@ -1,15 +1,10 @@
 package accel
 
-import (
-	"sort"
+import "psbox/internal/snapshot"
 
-	"psbox/internal/snapshot"
-)
-
-func (a *appState) snapshot(enc *snapshot.Encoder) {
-	enc.I64(int64(a.id))
-	enc.F64(a.vr)
-	enc.Bool(a.boxed)
+// Snapshot encodes the app's ledger fields, then its device fields.
+func (a *appState) Snapshot(enc *snapshot.Encoder) {
+	a.App.Snapshot(enc)
 	enc.I64(int64(a.state.FreqIdx))
 	enc.U64(a.completed)
 	enc.F64(a.workDone)
@@ -24,18 +19,18 @@ func (a *appState) snapshot(enc *snapshot.Encoder) {
 
 // Snapshot encodes the driver: balloon phase machine, credit floor,
 // watchdog state, and every app's credit, backlog and virtual power
-// state (sorted by app ID).
+// state (in app ID order).
 func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	enc.U8(uint8(d.phase))
 	if d.activeBox == nil {
 		enc.I64(-1)
 	} else {
-		enc.I64(int64(d.activeBox.id))
+		enc.I64(int64(d.activeBox.ID))
 	}
 	enc.I64(int64(d.othersState.FreqIdx))
 	enc.I64(int64(d.lastBill))
 	enc.U64(d.graceArm.Seq())
-	enc.F64(d.minVrFloor)
+	enc.F64(d.led.Floor())
 	enc.U64(d.nextCmdID)
 	enc.Bool(d.wd != nil)
 	if d.wd != nil {
@@ -49,13 +44,9 @@ func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(d.wdResubmits)
 	enc.U64(d.wdDropped)
 	enc.Bool(d.BillDrainIdleOnly)
-	ids := make([]int, 0, len(d.apps))
-	for id := range d.apps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	enc.Len(len(ids))
-	for _, id := range ids {
-		d.apps[id].snapshot(enc)
+	apps := d.led.Apps()
+	enc.Len(len(apps))
+	for _, a := range apps {
+		a.Snapshot(enc)
 	}
 }

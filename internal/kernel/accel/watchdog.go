@@ -147,7 +147,7 @@ func (d *Driver) recoverDevice(now sim.Time) {
 		touched[cmd.Owner] = true
 		// The slot-time the command held until the reset was burned for
 		// nothing; charge it in the usual occupancy currency.
-		a.vr += now.Sub(cmd.Dispatched).Seconds()
+		a.Credit += now.Sub(cmd.Dispatched).Seconds()
 		cmd.Retries++
 		if cmd.Retries > d.wd.MaxRetries {
 			d.wdDropped++
@@ -155,7 +155,7 @@ func (d *Driver) recoverDevice(now sim.Time) {
 			d.bus.Count("accel.wd_dropped", cmd.Owner, d.dev.Config().Name, 1)
 			continue
 		}
-		backoff := backoffFor(cmd.Retries, d.wd.BackoffBase, d.wd.BackoffCap)
+		backoff := sim.Backoff(cmd.Retries, d.wd.BackoffBase, d.wd.BackoffCap)
 		d.wdResubmits++
 		d.bus.Instant(obs.CatAccel, "wd-resubmit", cmd.Owner, int64(cmd.ID), d.dev.Config().Name, cmd.Kind)
 		d.bus.Count("accel.wd_resubmits", cmd.Owner, d.dev.Config().Name, 1)
@@ -174,21 +174,6 @@ func (d *Driver) recoverDevice(now sim.Time) {
 		}
 	}
 	d.armWatchdog()
-}
-
-// backoffFor is the resubmission delay schedule: the first retry waits
-// base, each further retry doubles it, capped at limit. The schedule is
-// part of the deterministic replay surface — the golden-sequence test
-// pins it, since any change shifts every requeue event in every trace.
-func backoffFor(retries int, base, limit sim.Duration) sim.Duration {
-	backoff := base
-	for r := 1; r < retries && backoff < limit; r++ {
-		backoff *= 2
-	}
-	if backoff > limit {
-		backoff = limit
-	}
-	return backoff
 }
 
 // requeue returns an aborted command to its owner's pending queue once its

@@ -63,8 +63,8 @@ func (k *Kernel) stopTaskCB(core int, t *Task) {
 	if t.remaining < 0 {
 		t.remaining = 0
 	}
-	if k.cpuUsage != nil && now > t.runStart {
-		k.cpuUsage(t.app.ID, core, t.runStart, now)
+	if now > t.runStart {
+		k.cpuHooks.record(t.app.ID, t.runStart, now)
 	}
 	k.running[core] = nil
 	t.core = -1
@@ -95,8 +95,8 @@ func (k *Kernel) armCompletion(t *Task) {
 		if tt.remaining < 1e-3 {
 			tt.remaining = 0
 		}
-		if k.cpuUsage != nil && now > tt.runStart {
-			k.cpuUsage(tt.app.ID, tt.core, tt.runStart, now)
+		if now > tt.runStart {
+			k.cpuHooks.record(tt.app.ID, tt.runStart, now)
 		}
 		tt.runStart = now
 		if tt.remaining > 0 {
@@ -121,8 +121,8 @@ func (k *Kernel) onFreqChange(oldIdx, newIdx int) {
 		if t.remaining < 0 {
 			t.remaining = 0
 		}
-		if k.cpuUsage != nil && now > t.runStart {
-			k.cpuUsage(t.app.ID, t.core, t.runStart, now)
+		if now > t.runStart {
+			k.cpuHooks.record(t.app.ID, t.runStart, now)
 		}
 		t.runStart = now
 		t.runRate = k.cpu.CyclesPerSecond()

@@ -9,6 +9,7 @@ import (
 	"psbox/internal/hw/dram"
 	"psbox/internal/hw/gps"
 	"psbox/internal/kernel/accel"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/kernel/netsched"
 	"psbox/internal/kernel/sched"
 	"psbox/internal/obs"
@@ -44,12 +45,12 @@ type Kernel struct {
 	tasks   map[*sched.Task]*Task
 	running []*Task // per core
 
-	cpuResidentHooks   []func(appID int, resident bool)
-	accelResidentHooks map[string][]func(appID int, resident bool)
-	netResidentHooks   []func(appID int, resident bool)
-
-	// cpuUsage records per-core occupancy spans for the accounting layer.
-	cpuUsage func(owner, core int, start, end sim.Time)
+	// hooks holds each device's residency hooks and usage recorder, keyed
+	// by device name: "cpu", each accelerator's name, the NIC's name.
+	//psbox:allow-snapshotstate wiring: hook closures registered at construction
+	hooks map[string]*devHooks
+	//psbox:allow-snapshotstate wiring: hooks["cpu"], cached for the run path
+	cpuHooks *devHooks
 
 	// Observability (nil-safe; the bus snapshots itself).
 	bus *obs.Bus
@@ -78,20 +79,21 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		panic("kernel: scheduler core count must match the CPU")
 	}
 	k := &Kernel{
-		eng:                eng,
-		cpu:                cfg.CPU,
-		rand:               sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		accels:             make(map[string]*accel.Driver),
-		accelResidentHooks: make(map[string][]func(int, bool)),
-		apps:               make(map[int]*App),
-		tasks:              make(map[*sched.Task]*Task),
-		running:            make([]*Task, cfg.CPU.Cores()),
+		eng:     eng,
+		cpu:     cfg.CPU,
+		rand:    sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		accels:  make(map[string]*accel.Driver),
+		hooks:   make(map[string]*devHooks),
+		apps:    make(map[int]*App),
+		tasks:   make(map[*sched.Task]*Task),
+		running: make([]*Task, cfg.CPU.Cores()),
 	}
+	k.cpuHooks = k.hook("cpu")
 	k.sch = sched.New(eng, cfg.Sched, sched.Callbacks{
 		RunTask:       k.onRunTask,
 		StopTask:      k.onStopTask,
 		CoreIdle:      k.onCoreIdle,
-		GroupResident: k.onCPUResident,
+		GroupResident: k.cpuHooks.resident,
 	})
 	k.cpu.OnFreqChange(k.onFreqChange)
 	return k
@@ -114,14 +116,11 @@ func (k *Kernel) AttachAccel(name string, d *accel.Driver) {
 	k.accels[name] = d
 	k.accelKeys = append(k.accelKeys, name)
 	sort.Strings(k.accelKeys)
-	d.SetCallbacks(accel.Callbacks{
+	h := k.hook(name)
+	d.SetCallbacks(fair.Callbacks{
 		BacklogChange: func(appID int) { k.checkAccelWaiters(name, appID) },
-		BoxResident: func(appID int, r bool) {
-			for _, fn := range k.accelResidentHooks[name] {
-				fn(appID, r)
-			}
-		},
-		Usage: d.Callbacks().Usage,
+		BoxResident:   h.resident,
+		Usage:         h.record,
 	})
 }
 
@@ -131,14 +130,11 @@ func (k *Kernel) AttachNet(d *netsched.Driver) {
 		panic("kernel: NIC already attached")
 	}
 	k.net = d
-	d.SetCallbacks(netsched.Callbacks{
+	h := k.hook(d.NIC().Config().Name)
+	d.SetCallbacks(fair.Callbacks{
 		BacklogChange: k.checkNetWaiters,
-		BoxResident: func(appID int, r bool) {
-			for _, fn := range k.netResidentHooks {
-				fn(appID, r)
-			}
-		},
-		Usage: d.Callbacks().Usage,
+		BoxResident:   h.resident,
+		Usage:         h.record,
 	})
 }
 
@@ -207,31 +203,46 @@ func (k *Kernel) DRAM() *dram.DRAM { return k.mem }
 // Apps lists the registered apps in creation order.
 func (k *Kernel) Apps() []*App { return k.appList }
 
-// OnCPUResident registers a hook for CPU spatial-balloon residency; the
-// psbox layer uses it for metering and power-state virtualization.
-func (k *Kernel) OnCPUResident(fn func(appID int, resident bool)) {
-	k.cpuResidentHooks = append(k.cpuResidentHooks, fn)
+// OnResident registers a hook for balloon residency on a device: the
+// CPU's spatial balloons ("cpu") or the temporal balloons of an
+// accelerator or the NIC (by device name). Hooks fire in registration
+// order; the psbox layer uses them for metering and power-state
+// virtualization.
+func (k *Kernel) OnResident(dev string, fn func(appID int, resident bool)) {
+	h := k.hook(dev)
+	h.onResident = append(h.onResident, fn)
 }
 
-// OnAccelResident registers a hook for a device's temporal-balloon
-// residency.
-func (k *Kernel) OnAccelResident(dev string, fn func(appID int, resident bool)) {
-	k.accelResidentHooks[dev] = append(k.accelResidentHooks[dev], fn)
+// SetUsageRecorder installs the accounting recorder for a device's
+// occupancy spans ("cpu", an accelerator's or the NIC's name): task run
+// spans on any core, command execution spans, frame airtime.
+func (k *Kernel) SetUsageRecorder(dev string, fn func(owner int, start, end sim.Time)) {
+	k.hook(dev).usage = fn
 }
 
-// OnNetResident registers a hook for NIC balloon residency.
-func (k *Kernel) OnNetResident(fn func(appID int, resident bool)) {
-	k.netResidentHooks = append(k.netResidentHooks, fn)
+// devHooks is one device's residency hooks and usage recorder.
+type devHooks struct {
+	onResident []func(appID int, resident bool)
+	usage      func(owner int, start, end sim.Time)
 }
 
-// SetCPUUsageRecorder installs the accounting recorder for per-core
-// occupancy spans.
-func (k *Kernel) SetCPUUsageRecorder(fn func(owner, core int, start, end sim.Time)) {
-	k.cpuUsage = fn
+func (k *Kernel) hook(dev string) *devHooks {
+	h, ok := k.hooks[dev]
+	if !ok {
+		h = &devHooks{}
+		k.hooks[dev] = h
+	}
+	return h
 }
 
-func (k *Kernel) onCPUResident(appID int, resident bool) {
-	for _, fn := range k.cpuResidentHooks {
+func (h *devHooks) resident(appID int, resident bool) {
+	for _, fn := range h.onResident {
 		fn(appID, resident)
+	}
+}
+
+func (h *devHooks) record(owner int, start, end sim.Time) {
+	if h.usage != nil {
+		h.usage(owner, start, end)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"psbox/internal/hw/cpu"
 	"psbox/internal/hw/nic"
 	"psbox/internal/kernel/accel"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/kernel/netsched"
 	"psbox/internal/sim"
 )
@@ -35,10 +36,10 @@ func newTestSystem(t *testing.T, governor bool) *testSystem {
 		Name: "gpu", Slots: 2, FreqsMHz: []float64{450},
 		WorkPerSecAtTop: 1e6, ShareFactor: 0.9, IdleW: 0.25,
 	})
-	gpu := accel.New(eng, dev, accel.Callbacks{})
+	gpu := accel.New(eng, dev, fair.Callbacks{})
 	k.AttachAccel("gpu", gpu)
 	n := nic.MustNew(eng, nic.DefaultConfig())
-	nd := netsched.NewWithConfig(eng, netsched.Config{DrainSettle: 5 * sim.Millisecond}, n, netsched.Callbacks{})
+	nd := netsched.New(eng, n, fair.Callbacks{})
 	k.AttachNet(nd)
 	return &testSystem{eng: eng, cpu: c, k: k, gpu: gpu, net: nd}
 }
@@ -248,7 +249,7 @@ func TestKillStopsTask(t *testing.T) {
 func TestCPUUsageRecorderSeesAllBusyTime(t *testing.T) {
 	s := newTestSystem(t, false)
 	var recorded sim.Duration
-	s.k.SetCPUUsageRecorder(func(owner, core int, start, end sim.Time) {
+	s.k.SetUsageRecorder("cpu", func(owner int, start, end sim.Time) {
 		recorded += end.Sub(start)
 	})
 	app := s.k.NewApp("a")

@@ -81,7 +81,7 @@ func TestQuickVirtualNICOnlySeesOwner(t *testing.T) {
 		poll = func(sim.Time) {
 			if vrail.Power() == cfg.ActiveW[0] {
 				// Claimed active: the box itself must have a frame on air.
-				if a, found := fx.drv.apps[1]; !found || a.inflight == 0 {
+				if a, found := fx.drv.led.Get(1); !found || a.inflight == 0 {
 					ok = false
 				}
 			}

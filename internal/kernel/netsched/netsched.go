@@ -7,10 +7,10 @@ package netsched
 
 import (
 	"fmt"
-	"sort"
 
 	"psbox/internal/hw/nic"
 	"psbox/internal/hw/power"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/obs"
 	"psbox/internal/sim"
 )
@@ -41,53 +41,33 @@ func (p Phase) String() string {
 	}
 }
 
-// Config tunes the packet scheduler.
-type Config struct {
-	// DrainSettle models the quiescing delay at balloon opening observed
+// The packet scheduler's tuning mirrors the BeagleBone/WiLink8 behaviour
+// of §6.2.
+const (
+	// drainSettle models the quiescing delay at balloon opening observed
 	// on the paper's platform (§6.2): WiLink firmware batches completion
 	// notifications and the wimpy CPU adds interrupt latency, so the
 	// driver only trusts the medium to be clear this long after the last
 	// completion. It is the dominant WiFi latency cost of psbox.
-	DrainSettle sim.Duration
+	drainSettle = 12 * sim.Millisecond
 
-	// Quantum is the byte credit a balloon may overdraw before the
+	// quantum is the byte credit a balloon may overdraw before the
 	// scheduler hands the NIC back. Without it, byte-fair alternation
 	// would split every balloon after a frame or two, re-paying the drain
 	// settle each time.
-	Quantum int
+	quantum = 8192
 
-	// Grace bounds how long a credit-ineligible sandbox waits for
+	// graceDelay bounds how long a credit-ineligible sandbox waits for
 	// momentarily idle competitors before its balloon opens anyway (the
 	// starvation backstop of the balloon admission gate).
-	Grace sim.Duration
+	graceDelay = 5 * sim.Millisecond
 
-	// RetryBackoff is the retransmission delay after a frame fails on a
+	// retryBackoff is the retransmission delay after a frame fails on a
 	// link flap; it doubles per retry of the same frame, capped at
-	// RetryBackoffCap. The failed airtime is still billed to the owner.
-	RetryBackoff    sim.Duration
-	RetryBackoffCap sim.Duration
-}
-
-// DefaultConfig mirrors the BeagleBone/WiLink8 behaviour of §6.2.
-func DefaultConfig() Config {
-	return Config{
-		DrainSettle:     12 * sim.Millisecond,
-		Quantum:         8192,
-		Grace:           5 * sim.Millisecond,
-		RetryBackoff:    5 * sim.Millisecond,
-		RetryBackoffCap: 80 * sim.Millisecond,
-	}
-}
-
-// Callbacks connect the scheduler to the kernel and psbox layers.
-type Callbacks struct {
-	// BacklogChange fires when an app's unsent byte count shrinks.
-	BacklogChange func(appID int)
-	// BoxResident brackets a sandbox's exclusive NIC service.
-	BoxResident func(appID int, resident bool)
-	// Usage reports one frame's airtime span for accounting.
-	Usage func(owner int, start, end sim.Time)
-}
+	// retryBackoffCap. The failed airtime is still billed to the owner.
+	retryBackoff    = 5 * sim.Millisecond
+	retryBackoffCap = 80 * sim.Millisecond
+)
 
 // Socket is one app's transmission endpoint with its own kernel buffer
 // (the paper holds packets back "in per-socket buffers instead of a global
@@ -104,10 +84,8 @@ type Socket struct {
 func (s *Socket) QueuedBytes() int { return s.queuedBytes }
 
 type appState struct {
-	id    int
-	vr    float64 // scheduling credit: total byte cost charged
-	boxed bool
-	state nic.State // virtualized NIC power state while boxed
+	fair.App           // credit: total byte cost charged
+	state    nic.State // virtualized NIC power state while boxed
 
 	// The virtual NIC (§5: "drive an independent state machine for each
 	// psbox"): a per-sandbox power-state machine whose rail the sandbox's
@@ -134,13 +112,11 @@ type appState struct {
 // Driver is the packet scheduler over one NIC.
 type Driver struct {
 	eng *sim.Engine
-	//psbox:allow-snapshotstate construction-time config; identical by scenario reconstruction under the replay-twin contract
-	cfg Config
 	n   *nic.NIC
 	//psbox:allow-snapshotstate wiring: callback closures installed at construction
-	cbs   Callbacks
+	cbs   fair.Callbacks
 	socks []*Socket
-	apps  map[int]*appState
+	led   fair.Ledger[*appState]
 
 	settleArm sim.Handle
 	graceArm  sim.Handle
@@ -152,7 +128,6 @@ type Driver struct {
 	balloonAt      sim.Time
 	balloonBlocked bool // another app had demand during the balloon
 
-	minVrFloor float64
 	nextSockID int
 	nextPktID  uint64
 
@@ -183,42 +158,17 @@ func (d *Driver) setPhase(p Phase) {
 	d.phase = p
 	owner := 0
 	if d.activeBox != nil {
-		owner = d.activeBox.id
+		owner = d.activeBox.ID
 	}
 	d.bus.Instant(obs.CatNet, netPhaseKinds[p], owner, int64(p), d.n.Config().Name, d.n.Config().Name)
 }
 
 // New wires a driver to the NIC.
-func New(eng *sim.Engine, n *nic.NIC, cbs Callbacks) *Driver {
-	return NewWithConfig(eng, DefaultConfig(), n, cbs)
-}
-
-// NewWithConfig wires a driver with explicit tuning. Zero-valued fields
-// fall back to their defaults.
-func NewWithConfig(eng *sim.Engine, cfg Config, n *nic.NIC, cbs Callbacks) *Driver {
-	def := DefaultConfig()
-	if cfg.Quantum == 0 {
-		cfg.Quantum = def.Quantum
-	}
-	if cfg.Grace == 0 {
-		cfg.Grace = def.Grace
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = def.RetryBackoff
-	}
-	if cfg.RetryBackoffCap == 0 {
-		cfg.RetryBackoffCap = def.RetryBackoffCap
-	}
-	if cfg.RetryBackoffCap < cfg.RetryBackoff {
-		cfg.RetryBackoffCap = cfg.RetryBackoff
-	}
-	d := &Driver{
-		eng:  eng,
-		cfg:  cfg,
-		n:    n,
-		cbs:  cbs,
-		apps: make(map[int]*appState),
-	}
+func New(eng *sim.Engine, n *nic.NIC, cbs fair.Callbacks) *Driver {
+	d := &Driver{eng: eng, n: n, cbs: cbs}
+	d.led = fair.NewLedger(
+		func(a *appState) bool { return d.backlog(a) > 0 },
+		func(a *appState) bool { return d.headSocket(a.ID) != nil })
 	n.OnComplete(d.onComplete)
 	n.OnIdle(func() { d.pump() }) // tail expiry advances balloon state
 	n.OnTxFail(d.onTxFail)
@@ -229,24 +179,18 @@ func NewWithConfig(eng *sim.Engine, cfg Config, n *nic.NIC, cbs Callbacks) *Driv
 // NIC exposes the underlying hardware model.
 func (d *Driver) NIC() *nic.NIC { return d.n }
 
-// Callbacks returns the currently installed callbacks.
-func (d *Driver) Callbacks() Callbacks { return d.cbs }
-
 // SetCallbacks replaces the driver's callbacks; the kernel uses this to
 // interpose its own routing when the driver is attached.
-func (d *Driver) SetCallbacks(cbs Callbacks) { d.cbs = cbs }
-
-// SetUsage installs just the usage recorder, preserving other callbacks.
-func (d *Driver) SetUsage(fn func(owner int, start, end sim.Time)) { d.cbs.Usage = fn }
+func (d *Driver) SetCallbacks(cbs fair.Callbacks) { d.cbs = cbs }
 
 // Phase reports the balloon phase.
 func (d *Driver) Phase() Phase { return d.phase }
 
 func (d *Driver) app(id int) *appState {
-	a, ok := d.apps[id]
+	a, ok := d.led.Get(id)
 	if !ok {
-		a = &appState{id: id, vr: d.minVrFloor, state: nic.State{Mode: nic.ModePSM}}
-		d.apps[id] = a
+		a = &appState{state: nic.State{Mode: nic.ModePSM}}
+		d.led.Join(id, a)
 	}
 	return a
 }
@@ -266,16 +210,14 @@ func (d *Driver) Send(s *Socket, bytes int) {
 		panic("netsched: empty packet")
 	}
 	a := d.app(s.Owner)
-	if d.Backlog(s.Owner) == 0 {
-		if a.vr < d.minVrFloor {
-			a.vr = d.minVrFloor
-		}
+	if d.backlog(a) == 0 {
+		d.led.Wake(a) // returning from idle
 	}
 	d.nextPktID++
 	p := &nic.Packet{ID: d.nextPktID, Owner: s.Owner, Bytes: bytes, Enqueued: d.eng.Now()}
 	s.queue = append(s.queue, p)
 	s.queuedBytes += bytes
-	if d.activeBox != nil && s.Owner != d.activeBox.id {
+	if d.activeBox != nil && s.Owner != d.activeBox.ID {
 		d.balloonBlocked = true
 	}
 	d.pump()
@@ -284,21 +226,25 @@ func (d *Driver) Send(s *Socket, bytes int) {
 // Backlog reports an app's unsent bytes (buffered, on the air, or waiting
 // out a link-flap retry backoff).
 func (d *Driver) Backlog(appID int) int {
-	total := 0
+	if a, ok := d.led.Get(appID); ok {
+		return d.backlog(a)
+	}
+	return 0
+}
+
+func (d *Driver) backlog(a *appState) int {
+	total := a.inflight + a.retrying
 	for _, s := range d.socks {
-		if s.Owner == appID {
+		if s.Owner == a.ID {
 			total += s.queuedBytes
 		}
-	}
-	if a, ok := d.apps[appID]; ok {
-		total += a.inflight + a.retrying
 	}
 	return total
 }
 
 // SentBytes reports an app's completed transmission volume.
 func (d *Driver) SentBytes(appID int) uint64 {
-	if a, ok := d.apps[appID]; ok {
+	if a, ok := d.led.Get(appID); ok {
 		return a.sentBytes
 	}
 	return 0
@@ -306,7 +252,7 @@ func (d *Driver) SentBytes(appID int) uint64 {
 
 // SentPackets reports an app's completed frame count.
 func (d *Driver) SentPackets(appID int) uint64 {
-	if a, ok := d.apps[appID]; ok {
+	if a, ok := d.led.Get(appID); ok {
 		return a.sentPackets
 	}
 	return 0
@@ -317,8 +263,8 @@ func (d *Driver) SentPackets(appID int) uint64 {
 func (d *Driver) MeanQueueingLatency(appID int) sim.Duration {
 	var sum sim.Duration
 	var n uint64
-	for id, a := range d.apps {
-		if appID != 0 && id != appID {
+	for _, a := range d.led.Apps() {
+		if appID != 0 && a.ID != appID {
 			continue
 		}
 		sum += a.latencySum
@@ -332,8 +278,8 @@ func (d *Driver) MeanQueueingLatency(appID int) sim.Duration {
 
 // VRuntime exposes an app's byte credit for tests.
 func (d *Driver) VRuntime(appID int) float64 {
-	if a, ok := d.apps[appID]; ok {
-		return a.vr
+	if a, ok := d.led.Get(appID); ok {
+		return a.Credit
 	}
 	return 0
 }
@@ -346,10 +292,10 @@ func (d *Driver) VRuntime(appID int) float64 {
 func (d *Driver) SetTxLevel(appID, level int) {
 	a := d.app(appID)
 	a.state.TxLevel = level
-	if !a.boxed || (d.activeBox == a && d.phase == PhaseServe) {
+	if !a.Boxed || (d.activeBox == a && d.phase == PhaseServe) {
 		d.n.SetTxLevel(level)
 	}
-	if !a.boxed {
+	if !a.Boxed {
 		// The shared state now carries this level; remember it for the
 		// next balloon restore.
 		d.othersState.TxLevel = level
@@ -397,10 +343,10 @@ func (d *Driver) vnicTail(a *appState) {
 // virtual NIC power state starting from PSM.
 func (d *Driver) BoxEnter(appID int) {
 	a := d.app(appID)
-	if a.boxed {
+	if a.Boxed {
 		return
 	}
-	a.boxed = true
+	a.Boxed = true
 	a.state = nic.State{Mode: nic.ModePSM, TxLevel: a.state.TxLevel}
 	d.VirtualRail(appID) // materialize the virtual NIC
 	d.pump()
@@ -410,11 +356,11 @@ func (d *Driver) BoxEnter(appID int) {
 // with a frame on the air, teardown completes at that frame's completion
 // (the power-state swap needs a quiet medium).
 func (d *Driver) BoxLeave(appID int) {
-	a, ok := d.apps[appID]
-	if !ok || !a.boxed {
+	a, ok := d.led.Get(appID)
+	if !ok || !a.Boxed {
 		return
 	}
-	a.boxed = false
+	a.Boxed = false
 	if d.activeBox != a {
 		d.pump()
 		return
@@ -449,30 +395,11 @@ func (d *Driver) onComplete(p *nic.Packet) {
 		d.cbs.Usage(p.Owner, p.Dispatched, p.Completed)
 	}
 	// Byte-fair billing: credit burned equals bytes sent.
-	a.vr += float64(p.Bytes)
+	a.Credit += float64(p.Bytes)
 	d.vnicTail(a)
 	d.pump()
 	if d.cbs.BacklogChange != nil {
 		d.cbs.BacklogChange(p.Owner)
-	}
-}
-
-// refreshFloor advances the newcomer credit floor to the minimum credit of
-// unboxed apps with demand. Boxed apps are excluded: their balloon-billed
-// credit must not drag the floor up, or returning apps would catapult past
-// them and erase the confinement charge.
-func (d *Driver) refreshFloor() {
-	min := -1.0
-	for id, a := range d.apps {
-		if a.boxed || d.Backlog(id) == 0 {
-			continue
-		}
-		if min < 0 || a.vr < min {
-			min = a.vr
-		}
-	}
-	if min > d.minVrFloor {
-		d.minVrFloor = min
 	}
 }
 
@@ -489,42 +416,6 @@ func (d *Driver) headSocket(appID int) *Socket {
 		}
 	}
 	return best
-}
-
-// pickQueued returns the minimum-credit app with buffered packets,
-// restricted to boxed or unboxed apps.
-func (d *Driver) pickQueued(boxed bool) *appState {
-	ids := make([]int, 0, len(d.apps))
-	for id := range d.apps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var best *appState
-	for _, id := range ids {
-		a := d.apps[id]
-		if a.boxed != boxed || d.headSocket(id) == nil {
-			continue
-		}
-		if best == nil || a.vr < best.vr {
-			best = a
-		}
-	}
-	return best
-}
-
-func (d *Driver) minOtherCredit() (float64, bool) {
-	var min float64
-	found := false
-	for id, a := range d.apps {
-		if a == d.activeBox || d.Backlog(id) == 0 {
-			continue
-		}
-		if !found || a.vr < min {
-			min = a.vr
-			found = true
-		}
-	}
-	return min, found
 }
 
 func (d *Driver) transmit(a *appState, s *Socket) {
@@ -555,7 +446,7 @@ func (d *Driver) onTxFail(p *nic.Packet) {
 	a := d.app(p.Owner)
 	a.inflight -= p.Bytes
 	a.retrying += p.Bytes
-	a.vr += float64(p.Bytes)
+	a.Credit += float64(p.Bytes)
 	d.vnicTail(a)
 	s := d.curSock
 	d.curSock = nil
@@ -563,7 +454,7 @@ func (d *Driver) onTxFail(p *nic.Packet) {
 	d.linkRetries++
 	d.bus.Instant(obs.CatNet, "tx-retry", p.Owner, int64(p.ID), d.n.Config().Name, "")
 	d.bus.Count("net.link_retries", p.Owner, d.n.Config().Name, 1)
-	backoff := backoffFor(p.Retries, d.cfg.RetryBackoff, d.cfg.RetryBackoffCap)
+	backoff := sim.Backoff(p.Retries, retryBackoff, retryBackoffCap)
 	pp, ss := p, s
 	d.eng.After(backoff, func(sim.Time) { d.requeue(pp, ss) })
 	d.pump()
@@ -572,28 +463,13 @@ func (d *Driver) onTxFail(p *nic.Packet) {
 	}
 }
 
-// backoffFor is the retransmission delay schedule: the first retry waits
-// base, each further retry doubles it, capped at limit. Pinned by the
-// golden-sequence test — the schedule is part of the deterministic replay
-// surface, so changing it shifts every retransmission in every trace.
-func backoffFor(retries int, base, limit sim.Duration) sim.Duration {
-	backoff := base
-	for r := 1; r < retries && backoff < limit; r++ {
-		backoff *= 2
-	}
-	if backoff > limit {
-		backoff = limit
-	}
-	return backoff
-}
-
 // requeue returns a failed frame to the head of its socket once its retry
 // backoff expires.
 func (d *Driver) requeue(p *nic.Packet, s *Socket) {
 	d.app(p.Owner).retrying -= p.Bytes
 	s.queue = append([]*nic.Packet{p}, s.queue...)
 	s.queuedBytes += p.Bytes
-	if d.activeBox != nil && s.Owner != d.activeBox.id {
+	if d.activeBox != nil && s.Owner != d.activeBox.ID {
 		d.balloonBlocked = true
 	}
 	d.pump()
@@ -611,7 +487,7 @@ func (d *Driver) settleLostOpportunity() {
 	}
 	blocked := d.balloonBlocked
 	for _, s := range d.socks {
-		if s.Owner != d.activeBox.id && s.queuedBytes > 0 {
+		if s.Owner != d.activeBox.ID && s.queuedBytes > 0 {
 			blocked = true
 		}
 	}
@@ -619,12 +495,12 @@ func (d *Driver) settleLostOpportunity() {
 		return
 	}
 	span := d.eng.Now().Sub(d.balloonAt).Seconds()
-	d.activeBox.vr += span * d.n.Config().LinkBytesPerSec
+	d.activeBox.Credit += span * d.n.Config().LinkBytesPerSec
 }
 
 // pump advances the scheduling state machine.
 func (d *Driver) pump() {
-	d.refreshFloor()
+	d.led.Refresh()
 	switch d.phase {
 	case PhaseNone:
 		d.pumpNone()
@@ -636,12 +512,12 @@ func (d *Driver) pump() {
 }
 
 // armSettle schedules the end of the drain phase: the medium must stay
-// quiet for DrainSettle before the balloon opens.
+// quiet for drainSettle before the balloon opens.
 func (d *Driver) armSettle() {
 	if d.n.Busy() || d.settleArm != (sim.Handle{}) {
 		return
 	}
-	d.settleArm = d.eng.After(d.cfg.DrainSettle, func(sim.Time) {
+	d.settleArm = d.eng.After(drainSettle, func(sim.Time) {
 		d.settleArm = sim.Handle{}
 		if d.phase == PhaseDrain && !d.n.Busy() {
 			d.beginServe()
@@ -650,10 +526,10 @@ func (d *Driver) armSettle() {
 }
 
 func (d *Driver) pumpNone() {
-	other := d.pickQueued(false)
-	box := d.pickQueued(true)
-	if box != nil && (other == nil || box.vr <= other.vr) {
-		if other == nil && !d.boxDeserves(box) {
+	other := d.led.Pick(false)
+	box := d.led.Pick(true)
+	if box != nil && (other == nil || box.Credit <= other.Credit) {
+		if other == nil && !d.led.Deserves(box) {
 			// Competitors are between sends but ahead on credit: hold the
 			// balloon back briefly instead of making their next frames eat
 			// a drain settle.
@@ -673,21 +549,7 @@ func (d *Driver) pumpNone() {
 	if other == nil || d.n.Busy() || !d.n.LinkUp() {
 		return
 	}
-	d.transmit(other, d.headSocket(other.id))
-}
-
-// boxDeserves reports whether the sandbox's credit is minimal among all
-// known apps, demand or not.
-func (d *Driver) boxDeserves(box *appState) bool {
-	for _, a := range d.apps {
-		if a == box || a.boxed {
-			continue
-		}
-		if box.vr > a.vr {
-			return false
-		}
-	}
-	return true
+	d.transmit(other, d.headSocket(other.ID))
 }
 
 // armGrace schedules the starvation backstop for a waiting sandbox.
@@ -695,13 +557,13 @@ func (d *Driver) armGrace() {
 	if d.graceArm != (sim.Handle{}) {
 		return
 	}
-	d.graceArm = d.eng.After(d.cfg.Grace, func(sim.Time) {
+	d.graceArm = d.eng.After(graceDelay, func(sim.Time) {
 		d.graceArm = sim.Handle{}
 		if d.phase != PhaseNone {
 			return
 		}
-		box := d.pickQueued(true)
-		if box == nil || d.pickQueued(false) != nil {
+		box := d.led.Pick(true)
+		if box == nil || d.led.Pick(false) != nil {
 			d.pump()
 			return
 		}
@@ -720,7 +582,7 @@ func (d *Driver) beginServe() {
 	d.setPhase(PhaseServe)
 	d.othersState = d.n.State()
 	if d.cbs.BoxResident != nil {
-		d.cbs.BoxResident(d.activeBox.id, true)
+		d.cbs.BoxResident(d.activeBox.ID, true)
 	}
 	d.n.Restore(d.activeBox.state)
 	d.pumpServe()
@@ -735,7 +597,7 @@ func (d *Driver) pumpServe() {
 		d.closeBalloon()
 		return
 	}
-	s := d.headSocket(a.id)
+	s := d.headSocket(a.ID)
 	if s == nil {
 		// The box went idle: hand the NIC back. Its tail energy is tracked
 		// by its virtual NIC, so there is no need to hold the physical
@@ -747,7 +609,7 @@ func (d *Driver) pumpServe() {
 	// Hand the NIC back once the box's credit exceeds the fair minimum by
 	// a full service quantum (drain-psbox is implicit: one frame at a
 	// time, and we only get here with the air clear).
-	if min, ok := d.minOtherCredit(); ok && a.vr > min+float64(d.cfg.Quantum) {
+	if min, ok := d.led.MinOther(a); ok && a.Credit > min+quantum {
 		d.closeBalloon()
 		return
 	}
@@ -766,7 +628,7 @@ func (d *Driver) closeBalloon() {
 	d.activeBox = nil
 	d.closing = false
 	if d.cbs.BoxResident != nil {
-		d.cbs.BoxResident(a.id, false)
+		d.cbs.BoxResident(a.ID, false)
 	}
 	a.state = d.n.State()
 	d.n.Restore(d.othersState)

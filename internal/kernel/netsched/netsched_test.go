@@ -1,10 +1,13 @@
 package netsched
 
 import (
+	"bytes"
 	"testing"
 
 	"psbox/internal/hw/nic"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/sim"
+	"psbox/internal/snapshot"
 )
 
 func nicCfg() nic.Config {
@@ -29,7 +32,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	f := &fixture{eng: sim.NewEngine(), resident: map[int]bool{}}
 	f.n = nic.MustNew(f.eng, nicCfg())
-	f.drv = New(f.eng, f.n, Callbacks{
+	f.drv = New(f.eng, f.n, fair.Callbacks{
 		BoxResident: func(app int, r bool) { f.resident[app] = r },
 	})
 	return f
@@ -103,8 +106,8 @@ func TestBoxedPacketsNeverInterleaveMidBalloon(t *testing.T) {
 		if f.resident[1] && f.n.Busy() {
 			// Busy during residency must be the box's frame: check via
 			// accounting — others' inflight should be zero.
-			for id, a := range f.drv.apps {
-				if id != 1 && a.inflight > 0 {
+			for _, a := range f.drv.led.Apps() {
+				if a.ID != 1 && a.inflight > 0 {
 					violations++
 				}
 			}
@@ -288,5 +291,22 @@ func TestPhaseString(t *testing.T) {
 	if PhaseNone.String() != "none" || PhaseDrain.String() != "drain" ||
 		PhaseServe.String() != "serve" || Phase(7).String() != "phase(7)" {
 		t.Fatal("phase strings wrong")
+	}
+}
+
+// TestSnapshotBeforeVirtualNIC: an app that never entered a sandbox has no
+// virtual NIC rail yet; checkpointing the scheduler must still encode it,
+// and the encoding must change once the rail exists.
+func TestSnapshotBeforeVirtualNIC(t *testing.T) {
+	f := newFixture(t)
+	f.drv.Send(f.drv.NewSocket(1), 900)
+	f.eng.RunFor(2 * sim.Millisecond)
+	before := snapshot.NewEncoder()
+	f.drv.Snapshot(before)
+	f.drv.VirtualRail(1)
+	after := snapshot.NewEncoder()
+	f.drv.Snapshot(after)
+	if bytes.Equal(before.Data(), after.Data()) {
+		t.Fatal("creating the virtual NIC rail left the checkpoint unchanged")
 	}
 }

@@ -1,8 +1,6 @@
 package netsched
 
 import (
-	"sort"
-
 	"psbox/internal/hw/nic"
 	"psbox/internal/snapshot"
 )
@@ -23,10 +21,9 @@ func (s *Socket) snapshot(enc *snapshot.Encoder) {
 	}
 }
 
-func (a *appState) snapshot(enc *snapshot.Encoder) {
-	enc.I64(int64(a.id))
-	enc.F64(a.vr)
-	enc.Bool(a.boxed)
+// Snapshot encodes the app's ledger fields, then its device fields.
+func (a *appState) Snapshot(enc *snapshot.Encoder) {
+	a.App.Snapshot(enc)
 	encodeNICState(enc, a.state)
 	a.vrail.Snapshot(enc)
 	enc.U64(a.vtailArm.Seq())
@@ -41,7 +38,7 @@ func (a *appState) snapshot(enc *snapshot.Encoder) {
 
 // Snapshot encodes the packet scheduler: balloon phase machine, socket
 // buffers (creation order), and every app's credit, counters and virtual
-// NIC state machine (sorted by app ID).
+// NIC state machine (in app ID order).
 func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(d.settleArm.Seq())
 	enc.U64(d.graceArm.Seq())
@@ -49,13 +46,13 @@ func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	if d.activeBox == nil {
 		enc.I64(-1)
 	} else {
-		enc.I64(int64(d.activeBox.id))
+		enc.I64(int64(d.activeBox.ID))
 	}
 	enc.Bool(d.closing)
 	encodeNICState(enc, d.othersState)
 	enc.I64(int64(d.balloonAt))
 	enc.Bool(d.balloonBlocked)
-	enc.F64(d.minVrFloor)
+	enc.F64(d.led.Floor())
 	enc.I64(int64(d.nextSockID))
 	enc.U64(d.nextPktID)
 	if d.curSock == nil {
@@ -68,13 +65,9 @@ func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	for _, s := range d.socks {
 		s.snapshot(enc)
 	}
-	ids := make([]int, 0, len(d.apps))
-	for id := range d.apps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	enc.Len(len(ids))
-	for _, id := range ids {
-		d.apps[id].snapshot(enc)
+	apps := d.led.Apps()
+	enc.Len(len(apps))
+	for _, a := range apps {
+		a.Snapshot(enc)
 	}
 }

@@ -242,9 +242,6 @@ func (s *Scheduler) NewTask(appID int, name string, core int, weight int64) *Tas
 	return t
 }
 
-// ContextSwitches reports the total number of context switches performed.
-func (s *Scheduler) ContextSwitches() uint64 { return s.ctxSwitches }
-
 // Shootdowns reports how many coscheduling shootdown rounds occurred.
 func (s *Scheduler) Shootdowns() uint64 { return s.shootdowns }
 

@@ -529,13 +529,7 @@ func (m *Manager) kill(s *Session, reason string) {
 		m.quarantine(s)
 		return
 	}
-	backoff := m.cfg.BackoffBase
-	for i := 1; i < len(s.failures) && backoff < m.cfg.BackoffCap; i++ {
-		backoff *= 2
-	}
-	if backoff > m.cfg.BackoffCap {
-		backoff = m.cfg.BackoffCap
-	}
+	backoff := sim.Backoff(len(s.failures), m.cfg.BackoffBase, m.cfg.BackoffCap)
 	s.restartArm = m.eng.After(backoff, func(sim.Time) {
 		s.restartArm = sim.Handle{}
 		m.restart(s)

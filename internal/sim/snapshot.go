@@ -12,12 +12,6 @@ import (
 // Seq to encode their armed timers.
 func (h Handle) Seq() uint64 { return h.seq }
 
-// State exposes the generator's stream position for checkpointing.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState repositions the generator; the argument must come from State.
-func (r *Rand) SetState(s uint64) { r.state = s }
-
 // Snapshot encodes the generator's stream position.
 func (r *Rand) Snapshot(enc *snapshot.Encoder) { enc.U64(r.state) }
 

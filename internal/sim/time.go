@@ -65,3 +65,20 @@ func (d Duration) String() string {
 		return fmt.Sprintf("%dns", int64(d))
 	}
 }
+
+// Backoff is the capped-doubling retry schedule: the first retry waits
+// base, each further retry doubles it, capped at limit; retries ≤ 1 wait
+// base. The accelerator watchdog's resubmissions, the packet scheduler's
+// link-flap retransmissions and the sandbox supervisor's restarts all use
+// it. The schedule is part of the deterministic replay surface: changing
+// it shifts every retry event in every trace.
+func Backoff(retries int, base, limit Duration) Duration {
+	backoff := base
+	for r := 1; r < retries && backoff < limit; r++ {
+		backoff *= 2
+	}
+	if backoff > limit {
+		backoff = limit
+	}
+	return backoff
+}

@@ -39,6 +39,7 @@ import (
 	"psbox/internal/hw/power"
 	"psbox/internal/kernel"
 	"psbox/internal/kernel/accel"
+	"psbox/internal/kernel/fair"
 	"psbox/internal/kernel/netsched"
 	"psbox/internal/kernel/sched"
 	"psbox/internal/meter"
@@ -138,7 +139,6 @@ type PlatformConfig struct {
 	GPU     *accelhw.Config // nil: absent
 	DSP     *accelhw.Config // nil: absent
 	WiFi    *nic.Config     // nil: absent
-	Net     netsched.Config
 	Display *display.Config // nil: absent (§7 extension scope)
 	GPS     *gps.Config     // nil: absent (§7 extension scope)
 	DRAM    *dram.Config    // nil: absent (§7 extension scope)
@@ -185,7 +185,6 @@ func BeagleBoneConfig(seed uint64) PlatformConfig {
 	return PlatformConfig{
 		CPU:  c,
 		WiFi: &w,
-		Net:  netsched.DefaultConfig(),
 		Seed: seed,
 	}
 }
@@ -269,10 +268,14 @@ func NewSystem(cfg PlatformConfig) *System {
 	inj.RegisterCPU(cfg.CPU.Name, c)
 	inj.RegisterMeter(m)
 
-	recorders := map[string]*account.Recorder{"cpu": {}}
-	k.SetCPUUsageRecorder(func(owner, _ int, start, end sim.Time) {
-		recorders["cpu"].Record(owner, start, end)
-	})
+	// Every device's usage spans feed a recorder under the device's name.
+	recorders := map[string]*account.Recorder{}
+	record := func(dev string) {
+		rec := &account.Recorder{}
+		recorders[dev] = rec
+		k.SetUsageRecorder(dev, rec.Record)
+	}
+	record("cpu")
 
 	attach := func(name string, hw *accelhw.Config) {
 		if hw == nil {
@@ -280,13 +283,10 @@ func NewSystem(cfg PlatformConfig) *System {
 		}
 		dev := accelhw.MustNew(eng, *hw)
 		inj.RegisterAccel(name, dev)
-		rec := &account.Recorder{}
-		recorders[name] = rec
-		drv := accel.New(eng, dev, accel.Callbacks{
-			Usage: func(owner int, s, e sim.Time) { rec.Record(owner, s, e) },
-		})
+		drv := accel.New(eng, dev, fair.Callbacks{})
 		drv.SetBus(bus)
 		k.AttachAccel(name, drv)
+		record(name)
 		m.AddRail(dev.Rail())
 	}
 	attach("gpu", cfg.GPU)
@@ -311,17 +311,10 @@ func NewSystem(cfg PlatformConfig) *System {
 		n := nic.MustNew(eng, *cfg.WiFi)
 		n.SetBus(bus)
 		inj.RegisterNIC("wifi", n)
-		rec := &account.Recorder{}
-		recorders["wifi"] = rec
-		netCfg := cfg.Net
-		if netCfg.DrainSettle == 0 {
-			netCfg = netsched.DefaultConfig()
-		}
-		nd := netsched.NewWithConfig(eng, netCfg, n, netsched.Callbacks{
-			Usage: func(owner int, s, e sim.Time) { rec.Record(owner, s, e) },
-		})
+		nd := netsched.New(eng, n, fair.Callbacks{})
 		nd.SetBus(bus)
 		k.AttachNet(nd)
+		record(cfg.WiFi.Name)
 		m.AddRail(n.Rail())
 	}
 
@@ -394,7 +387,6 @@ func MobileConfig(seed uint64) PlatformConfig {
 	cfg.GPS = &g
 	cfg.WiFi = &w
 	cfg.DRAM = &mem
-	cfg.Net = netsched.DefaultConfig()
 	return cfg
 }
 
