@@ -218,6 +218,40 @@ func BenchmarkSimEngineEvents(b *testing.B) {
 	}
 }
 
+// meterSamples keeps BenchmarkMeterSampling's retrievals observable, so
+// the compiler cannot drop the measured call.
+var meterSamples []psbox.Sample
+
+// BenchmarkMeterSampling measures DAQ sample retrieval over a realistic
+// rail history: outside the timer the mobile platform runs a render loop
+// for 250 ms of sim time, then the benchmark slides a one-period window
+// across the battery rail. One op is one retrieved sample.
+func BenchmarkMeterSampling(b *testing.B) {
+	sys := psbox.NewMobile(1)
+	app := sys.Kernel.NewApp("bench")
+	app.Spawn("render", 0, psbox.Loop(
+		psbox.Compute{Cycles: 2e6},
+		psbox.SubmitAccel{Dev: "gpu", Kind: "frame", Work: 3e4, DynW: 0.9},
+		psbox.AwaitAccel{Dev: "gpu", MaxBacklog: 2},
+		psbox.Sleep{D: 4 * psbox.Millisecond},
+	))
+	sys.Run(250 * psbox.Millisecond)
+	m := sys.Meter
+	period := m.Period()
+	horizon := sys.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var t sim.Time
+	for i := 0; i < b.N; i++ {
+		to := t.Add(period)
+		if to > horizon {
+			t, to = 0, sim.Time(period)
+		}
+		meterSamples = m.Samples("battery", t, to)
+		t = to
+	}
+}
+
 // BenchmarkSchedulerSecond measures how much host time one simulated
 // second of a contended dual-core scheduler costs.
 func BenchmarkSchedulerSecond(b *testing.B) {

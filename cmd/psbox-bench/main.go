@@ -1,12 +1,11 @@
-// Command psbox-bench regenerates the paper's tables and figures, and
-// carries the repo's performance baseline.
+// Command psbox-bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	psbox-bench -list
 //	psbox-bench -run all
 //	psbox-bench -run fig6,fig8 -seed 7
-//	psbox-bench -perf -json        # microbenchmark baseline (BENCH_1.json)
+//	psbox-bench -run everything -json
 package main
 
 import (
@@ -25,13 +24,7 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment IDs, 'all' (paper), 'extra' (ablations + §7), or 'everything'")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	asJSON := flag.Bool("json", false, "emit machine-readable results (one JSON object per experiment)")
-	perf := flag.Bool("perf", false, "run the host-path microbenchmarks (meter sampling, lint passes) instead of experiments")
 	flag.Parse()
-
-	if *perf {
-		runPerf(*asJSON, os.Stdout)
-		return
-	}
 
 	if *list {
 		fmt.Println("Paper experiments (DESIGN.md §3):")

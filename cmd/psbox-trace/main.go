@@ -53,7 +53,7 @@ func fig6Curves(seed uint64) {
 	fmt.Println("Fig. 6-style curves — calib3d co-running with bodytrack (CPU rail)")
 	fmt.Println(trace.Plot([]trace.Series{
 		{Name: "psbox virtual meter", Samples: trace.DownsampleSamples(
-			box.SamplesBetween(psbox.HWCPU, from, to), from, to, sys.Meter.Period(), step)},
+			box.SamplesBetween(psbox.HWCPU, from, to), from, to, step)},
 		{Name: "baseline attributed share", Samples: acc.Series(victim.ID, from, to, step)},
 		{Name: "whole rail", Samples: trace.DownsampleRail(sys.Meter.Rail("cpu"), from, to, step)},
 	}, from, to, 100, 12))
@@ -180,7 +180,7 @@ func main() {
 	err = trace.WriteCSV(f, []trace.Series{
 		{Name: "cpu_rail", Samples: trace.DownsampleRail(sys.Meter.Rail("cpu"), 0, sys.Now(), step)},
 		{Name: "victim_psbox", Samples: trace.DownsampleSamples(
-			box.SamplesBetween(psbox.HWCPU, 0, sys.Now()), 0, sys.Now(), sys.Meter.Period(), step)},
+			box.SamplesBetween(psbox.HWCPU, 0, sys.Now()), 0, sys.Now(), step)},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

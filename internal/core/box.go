@@ -184,7 +184,7 @@ func (mgr *Manager) Create(app *kernel.App, hw ...HW) (*Box, error) {
 		// derived from it — including the virtualized per-app rails, which
 		// are reconstructed from the same samples.
 		scope := string(h)
-		gaps := func(a, bnd sim.Time) []meter.Window { return mgr.m.Dropouts(scope, a, bnd) }
+		gaps := func(a, bnd sim.Time) []obs.Gap { return mgr.m.Dropouts(scope, a, bnd) }
 		switch h {
 		case HWWiFi:
 			// The sandbox observes its own virtual NIC rail; it is

@@ -2,7 +2,7 @@ package core
 
 import (
 	"psbox/internal/hw/power"
-	"psbox/internal/meter"
+	"psbox/internal/obs"
 	"psbox/internal/sim"
 )
 
@@ -30,7 +30,7 @@ type VirtualMeter struct {
 
 	// gaps reports DAQ dropout windows overlapping a span; nil when the
 	// observation path has no sampled DAQ behind it.
-	gaps func(a, b sim.Time) []meter.Window
+	gaps func(a, b sim.Time) []obs.Gap
 
 	entered  bool
 	resident bool
@@ -49,7 +49,7 @@ type VirtualMeter struct {
 }
 
 func newVirtualMeter(rail *power.Rail, idleW power.Watts, period sim.Duration,
-	gaps func(a, b sim.Time) []meter.Window) *VirtualMeter {
+	gaps func(a, b sim.Time) []obs.Gap) *VirtualMeter {
 	return &VirtualMeter{rail: rail, idleW: idleW, period: period, gaps: gaps}
 }
 

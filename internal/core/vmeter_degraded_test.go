@@ -6,6 +6,7 @@ import (
 
 	"psbox/internal/hw/power"
 	"psbox/internal/meter"
+	"psbox/internal/obs"
 	"psbox/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func newDegradedFixture() (*sim.Engine, *power.Rail, *meter.Meter, *VirtualMeter
 	rail := power.NewRail(eng, "r", 2.0)
 	m := meter.New(eng, 10*us)
 	m.AddRail(rail)
-	vm := newVirtualMeter(rail, 0.5, 10*us, func(a, b sim.Time) []meter.Window {
+	vm := newVirtualMeter(rail, 0.5, 10*us, func(a, b sim.Time) []obs.Gap {
 		return m.Dropouts("r", a, b)
 	})
 	return eng, rail, m, vm

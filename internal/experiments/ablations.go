@@ -7,7 +7,6 @@ import (
 
 	psbox "psbox"
 	"psbox/internal/account"
-	"psbox/internal/kernel/sched"
 	"psbox/internal/sim"
 	"psbox/internal/workload"
 )
@@ -31,11 +30,8 @@ type AblLoansResult struct {
 func AblLoans(seed uint64) AblLoansResult {
 	run := func(disable bool) (boxedLoss, worstOther float64) {
 		worstOther = math.Inf(-1) // gains register as negative loss
-		cfg := psbox.AM57Config(seed)
-		sc := sched.DefaultConfig(cfg.CPU.Cores)
-		sc.DisableLoanRepayment = disable
-		cfg.Sched = &sc
-		sys := psbox.NewSystem(cfg)
+		sys := psbox.NewAM57(seed)
+		sys.Kernel.Scheduler().DisableLoanRepayment = disable
 		var apps [3]*psbox.App
 		for i := range apps {
 			apps[i] = workload.Install(sys.Kernel, workload.Calib3D(2, true))

@@ -123,8 +123,7 @@ func Fig9(seed uint64) Fig9Result {
 		from := to - sim.Time(3*sim.Second)
 		r.TracePanel = trace.Plot([]trace.Series{
 			{Name: "rendering (in psbox)", Samples: trace.DownsampleSamples(
-				midBox.SamplesBetween(psbox.HWCPU, from, to), from, to,
-				midSys.Meter.Period(), 30*sim.Millisecond)},
+				midBox.SamplesBetween(psbox.HWCPU, from, to), from, to, 30*sim.Millisecond)},
 			{Name: "total cpu rail", Samples: trace.DownsampleRail(
 				midSys.Meter.Rail("cpu"), from, to, 30*sim.Millisecond)},
 		}, from, to, 100, 10)

@@ -233,24 +233,11 @@ type Campaign struct {
 	NICFlaps      int
 	DVFSStalls    int
 	MeterDropouts int
-
-	// FlapDownMax / StallMax / DropoutMax bound the drawn durations
-	// (minimum 1 ms each; defaults 20 ms when zero).
-	FlapDownMax sim.Duration
-	StallMax    sim.Duration
-	DropoutMax  sim.Duration
 }
 
-func (c Campaign) flapMax() sim.Duration  { return defDur(c.FlapDownMax) }
-func (c Campaign) stallMax() sim.Duration { return defDur(c.StallMax) }
-func (c Campaign) dropMax() sim.Duration  { return defDur(c.DropoutMax) }
-
-func defDur(d sim.Duration) sim.Duration {
-	if d <= 0 {
-		return 20 * sim.Millisecond
-	}
-	return d
-}
+// campaignMaxDur bounds a campaign's drawn link-flap, DVFS-stall and
+// meter-dropout durations: each is 1 ms plus a draw below this.
+const campaignMaxDur = 20 * sim.Millisecond
 
 // Randomize schedules a campaign's faults at seeded-random instants over
 // [now, now+Horizon). The draw order is fixed (kind by kind, sorted target
@@ -261,8 +248,8 @@ func (in *Injector) Randomize(c Campaign) {
 	}
 	now := in.eng.Now()
 	at := func() sim.Time { return now.Add(sim.Duration(in.rnd.Int63n(int64(c.Horizon)))) }
-	dur := func(max sim.Duration) sim.Duration {
-		return sim.Millisecond + sim.Duration(in.rnd.Int63n(int64(max)))
+	dur := func() sim.Duration {
+		return sim.Millisecond + sim.Duration(in.rnd.Int63n(int64(campaignMaxDur)))
 	}
 	if len(in.accelNames) > 0 {
 		for i := 0; i < c.AccelHangs; i++ {
@@ -271,18 +258,18 @@ func (in *Injector) Randomize(c Campaign) {
 	}
 	if len(in.nicNames) > 0 {
 		for i := 0; i < c.NICFlaps; i++ {
-			in.FlapLinkAt(at(), in.nicNames[in.rnd.Intn(len(in.nicNames))], dur(c.flapMax()))
+			in.FlapLinkAt(at(), in.nicNames[in.rnd.Intn(len(in.nicNames))], dur())
 		}
 	}
 	if len(in.cpuNames) > 0 {
 		for i := 0; i < c.DVFSStalls; i++ {
-			in.StallDVFSAt(at(), in.cpuNames[in.rnd.Intn(len(in.cpuNames))], dur(c.stallMax()))
+			in.StallDVFSAt(at(), in.cpuNames[in.rnd.Intn(len(in.cpuNames))], dur())
 		}
 	}
 	if in.m != nil {
 		rails := in.m.Rails()
 		for i := 0; i < c.MeterDropouts; i++ {
-			in.DropMeterAt(at(), rails[in.rnd.Intn(len(rails))], dur(c.dropMax()))
+			in.DropMeterAt(at(), rails[in.rnd.Intn(len(rails))], dur())
 		}
 	}
 }

@@ -18,8 +18,7 @@ import (
 
 // Config assembles a kernel over pre-built hardware models.
 type Config struct {
-	CPU   *cpu.CPU
-	Sched sched.Config
+	CPU *cpu.CPU
 
 	// Seed feeds the deterministic randomness handed to programs.
 	Seed uint64
@@ -72,12 +71,6 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 	if cfg.CPU == nil {
 		panic("kernel: need a CPU")
 	}
-	if cfg.Sched.Cores == 0 {
-		cfg.Sched = sched.DefaultConfig(cfg.CPU.Cores())
-	}
-	if cfg.Sched.Cores != cfg.CPU.Cores() {
-		panic("kernel: scheduler core count must match the CPU")
-	}
 	k := &Kernel{
 		eng:     eng,
 		cpu:     cfg.CPU,
@@ -89,7 +82,7 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		running: make([]*Task, cfg.CPU.Cores()),
 	}
 	k.cpuHooks = k.hook("cpu")
-	k.sch = sched.New(eng, cfg.Sched, sched.Callbacks{
+	k.sch = sched.New(eng, cfg.CPU.Cores(), sched.Callbacks{
 		RunTask:       k.onRunTask,
 		StopTask:      k.onStopTask,
 		CoreIdle:      k.onCoreIdle,

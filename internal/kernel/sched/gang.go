@@ -82,7 +82,7 @@ func (s *Scheduler) openGangWindow(g *Group) {
 	if s.resident != nil {
 		// Another balloon holds the machine; retry shortly. Gangs are
 		// mutually excluded, as are gang and loan windows.
-		g.gangTimer = s.eng.After(s.cfg.Tick, func(sim.Time) {
+		g.gangTimer = s.eng.After(tickPeriod, func(sim.Time) {
 			g.gangTimer = sim.Handle{}
 			s.openGangWindow(g)
 		})

@@ -75,10 +75,10 @@ func (s *Scheduler) ActivateGroup(appID int) *Group {
 	g, ok := s.groups[appID]
 	if !ok {
 		g = &Group{AppID: appID}
-		for c := 0; c < s.cfg.Cores; c++ {
+		for c := range s.cores {
 			g.entities = append(g.entities, &groupEntity{grp: g, core: c})
 		}
-		g.pendingIPI = make([]sim.Handle, s.cfg.Cores)
+		g.pendingIPI = make([]sim.Handle, len(s.cores))
 		s.groups[appID] = g
 	}
 	if g.active {
@@ -120,7 +120,7 @@ func (s *Scheduler) ActivateGroup(appID int) *Group {
 			s.enqueue(ge.core, ge)
 		}
 	}
-	for c := 0; c < s.cfg.Cores; c++ {
+	for c := range s.cores {
 		s.maybePreempt(c)
 		if s.cores[c].cur == nil {
 			s.reschedule(c)
@@ -161,7 +161,7 @@ func (s *Scheduler) DeactivateGroup(appID int) {
 			s.enqueue(t.Core, t)
 		}
 	}
-	for c := 0; c < s.cfg.Cores; c++ {
+	for c := range s.cores {
 		s.maybePreempt(c)
 		if s.cores[c].cur == nil {
 			s.reschedule(c)
@@ -171,7 +171,7 @@ func (s *Scheduler) DeactivateGroup(appID int) {
 
 // beginCosched opens a coscheduling window for g, initiated by initCore
 // having picked g's entity (§4.2 steps 1–2). The initiating core switches
-// immediately; the others are shot down by IPI after IPIDelay.
+// immediately; the others are shot down by IPI after ipiDelay.
 func (s *Scheduler) beginCosched(g *Group, initCore int) {
 	if s.residentGroup() != nil {
 		panic("sched: coscheduling window while another group is resident")
@@ -189,7 +189,7 @@ func (s *Scheduler) beginCosched(g *Group, initCore int) {
 	ge.onCPU = true
 	ge.loan = s.initialLoan(ge)
 	s.groupPickLocal(ge)
-	for c := 0; c < s.cfg.Cores; c++ {
+	for c := range s.cores {
 		if c == initCore {
 			continue
 		}
@@ -197,7 +197,7 @@ func (s *Scheduler) beginCosched(g *Group, initCore int) {
 		// IPI is in flight.
 		s.dequeue(c, g.entities[c])
 		core := c
-		g.pendingIPI[c] = s.eng.After(s.cfg.IPIDelay, func(sim.Time) {
+		g.pendingIPI[c] = s.eng.After(ipiDelay, func(sim.Time) {
 			s.remoteScheduleIn(g, core)
 		})
 	}
@@ -402,7 +402,7 @@ func (s *Scheduler) groupLocalTick(ge *groupEntity) {
 			best = i
 		}
 	}
-	if best >= 0 && ge.queue[best].vr+s.cfg.Granularity < ge.running.vr {
+	if best >= 0 && ge.queue[best].vr+granularity < ge.running.vr {
 		prev := ge.running
 		s.stopCurrent(ge.core)
 		ge.queue = append(ge.queue, prev)
@@ -416,7 +416,7 @@ func (s *Scheduler) endCosched(g *Group) {
 	if !g.resident {
 		return
 	}
-	for c := 0; c < s.cfg.Cores; c++ {
+	for c := range s.cores {
 		s.bill(c)
 	}
 	// Loan repayment (§4.2 step 5): beyond the runtime already billed while
@@ -432,9 +432,9 @@ func (s *Scheduler) endCosched(g *Group) {
 	if g.gang {
 		total = 0 // fixed reservations carry no loans to repay
 	}
-	share := sim.Duration(int64(total) / int64(s.cfg.Cores))
+	share := sim.Duration(int64(total) / int64(len(s.cores)))
 	for _, ge := range g.entities {
-		if !s.cfg.DisableLoanRepayment {
+		if !s.DisableLoanRepayment {
 			ge.vr += share
 		}
 		ge.loan = 0
@@ -480,7 +480,7 @@ func (s *Scheduler) endCosched(g *Group) {
 			s.cbs.GroupResident(g.AppID, false)
 		}
 	}
-	for c := 0; c < s.cfg.Cores; c++ {
+	for c := range s.cores {
 		if s.cores[c].cur == nil {
 			s.reschedule(c)
 		}

@@ -75,43 +75,25 @@ func (t *Task) State() State { return t.state }
 // CPUTime reports total on-CPU time consumed.
 func (t *Task) CPUTime() sim.Duration { return t.cpuTime }
 
-// Config tunes the scheduler.
-type Config struct {
-	Cores int
+// The scheduler's tuning: a CFS-like configuration on an embedded
+// dual-core.
+const (
+	// tickPeriod is the scheduler tick period (Linux: 1–10 ms).
+	tickPeriod = 1 * sim.Millisecond
 
-	// Tick is the scheduler tick period (Linux: 1–10 ms).
-	Tick sim.Duration
-
-	// Granularity is the minimum vruntime lead a waiting entity needs to
+	// granularity is the minimum vruntime lead a waiting entity needs to
 	// preempt at a tick, bounding context-switch churn.
-	Granularity sim.Duration
+	granularity = 500 * sim.Microsecond
 
-	// WakeupBonus caps how far behind the runqueue minimum a waking
+	// wakeupBonus caps how far behind the runqueue minimum a waking
 	// sleeper may be placed (CFS sleeper fairness).
-	WakeupBonus sim.Duration
+	wakeupBonus = 2 * sim.Millisecond
 
-	// IPIDelay is the latency of a task-shootdown inter-processor
+	// ipiDelay is the latency of a task-shootdown inter-processor
 	// interrupt; remote cores join/leave a coscheduling window this much
 	// later. This is the "tens of µs" scheduling-latency cost of §6.2.
-	IPIDelay sim.Duration
-
-	// DisableLoanRepayment turns off the §4.2 step-5 loan settlement.
-	// Only the ablation study uses this: without repayment the sandboxed
-	// app does not pay for its lost sharing opportunities and the Fig. 8
-	// confinement degrades.
-	DisableLoanRepayment bool
-}
-
-// DefaultConfig mirrors a CFS-like configuration on an embedded dual-core.
-func DefaultConfig(cores int) Config {
-	return Config{
-		Cores:       cores,
-		Tick:        1 * sim.Millisecond,
-		Granularity: 500 * sim.Microsecond,
-		WakeupBonus: 2 * sim.Millisecond,
-		IPIDelay:    15 * sim.Microsecond,
-	}
-}
+	ipiDelay = 15 * sim.Microsecond
+)
 
 // Callbacks connect the scheduler to the kernel's execution engine and to
 // the psbox layer. All callbacks may be nil.
@@ -153,8 +135,6 @@ func (t *Task) entityName() string     { return t.Name }
 // Scheduler is the multicore CPU scheduler.
 type Scheduler struct {
 	eng *sim.Engine
-	//psbox:allow-snapshotstate construction-time config; identical by scenario reconstruction under the replay-twin contract
-	cfg Config
 	//psbox:allow-snapshotstate wiring: callback closures installed at construction
 	cbs      Callbacks
 	cores    []*coreState
@@ -183,6 +163,12 @@ type Scheduler struct {
 	bus *obs.Bus
 	//psbox:allow-snapshotstate observability wiring installed at construction, not replayed state
 	rail string
+
+	// DisableLoanRepayment turns off the §4.2 step-5 loan settlement.
+	// Only the ablation study sets it, right after construction: without
+	// repayment the sandboxed app does not pay for its lost sharing
+	// opportunities and the Fig. 8 confinement degrades.
+	DisableLoanRepayment bool `psbox:"config"`
 }
 
 // SetBus routes the scheduler's trace events and metrics to a bus. rail
@@ -193,33 +179,29 @@ func (s *Scheduler) SetBus(b *obs.Bus, rail string) {
 	s.rail = rail
 }
 
-// New builds a scheduler and arms its tick.
-func New(eng *sim.Engine, cfg Config, cbs Callbacks) *Scheduler {
-	if cfg.Cores <= 0 {
+// New builds a scheduler over cores CPU cores and arms its tick.
+func New(eng *sim.Engine, cores int, cbs Callbacks) *Scheduler {
+	if cores <= 0 {
 		panic("sched: need at least one core")
-	}
-	if cfg.Tick <= 0 {
-		panic("sched: need a positive tick")
 	}
 	s := &Scheduler{
 		eng:         eng,
-		cfg:         cfg,
 		cbs:         cbs,
 		groups:      make(map[int]*Group),
 		wakePending: make(map[*Task]sim.Time),
 		gated:       make(map[int]bool),
 	}
-	for i := 0; i < cfg.Cores; i++ {
+	for i := 0; i < cores; i++ {
 		s.cores = append(s.cores, &coreState{id: i, lastBill: eng.Now()})
 	}
-	eng.After(cfg.Tick, s.tick)
+	eng.After(tickPeriod, s.tick)
 	return s
 }
 
 // NewTask registers a new task pinned to core, initially blocked. Call
 // Wake to make it runnable.
 func (s *Scheduler) NewTask(appID int, name string, core int, weight int64) *Task {
-	if core < 0 || core >= s.cfg.Cores {
+	if core < 0 || core >= len(s.cores) {
 		panic(fmt.Sprintf("sched: core %d out of range", core))
 	}
 	if weight <= 0 {
@@ -402,8 +384,8 @@ func (s *Scheduler) Wake(t *Task) {
 	s.wakePending[t] = s.eng.Now()
 	// Sleeper fairness: do not let a long sleeper monopolize the CPU, and
 	// do not punish it for having slept.
-	if min := s.minVrun(t.Core); t.vr < min-sim.Duration(s.cfg.WakeupBonus) {
-		t.vr = min - sim.Duration(s.cfg.WakeupBonus)
+	if min := s.minVrun(t.Core); t.vr < min-wakeupBonus {
+		t.vr = min - wakeupBonus
 	}
 	if s.gated[t.AppID] {
 		// A wake behind a closed gate parks: the task becomes runnable but
@@ -533,7 +515,7 @@ func (s *Scheduler) SetAppGate(appID int, open bool) {
 			}
 		}
 	}
-	for c := 0; c < s.cfg.Cores; c++ {
+	for c := range s.cores {
 		if s.cores[c].cur == nil {
 			s.reschedule(c)
 		}
@@ -697,7 +679,7 @@ func (s *Scheduler) maybePreempt(core int) {
 		return
 	}
 	s.bill(core)
-	if best.vrun()+s.cfg.Granularity < c.cur.vrun() {
+	if best.vrun()+granularity < c.cur.vrun() {
 		prev := c.curTask
 		s.stopCurrent(core)
 		if prev != nil {
@@ -726,7 +708,7 @@ func (s *Scheduler) tick(now sim.Time) {
 			continue
 		}
 		best := s.pickMin(core)
-		if best != nil && best.vrun()+s.cfg.Granularity < c.cur.vrun() {
+		if best != nil && best.vrun()+granularity < c.cur.vrun() {
 			prev := c.curTask
 			s.stopCurrent(core)
 			if prev != nil {
@@ -735,5 +717,5 @@ func (s *Scheduler) tick(now sim.Time) {
 			s.startEntity(core, best)
 		}
 	}
-	s.eng.After(s.cfg.Tick, s.tick)
+	s.eng.After(tickPeriod, s.tick)
 }

@@ -46,7 +46,7 @@ func newHarness(t *testing.T, cores int) *harness {
 		CoreIdle:      h.coreIdle,
 		GroupResident: func(app int, r bool) { h.resident[app] = r },
 	}
-	h.s = New(h.eng, DefaultConfig(cores), cbs)
+	h.s = New(h.eng, cores, cbs)
 	return h
 }
 

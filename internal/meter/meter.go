@@ -16,11 +16,6 @@ import (
 // DefaultPeriod is the paper's 100 kHz sampling interval.
 const DefaultPeriod = 10 * sim.Microsecond
 
-// Window is one half-open span [From, To) of simulated time.
-type Window struct {
-	From, To sim.Time
-}
-
 // Meter is the DAQ: a set of rails sampled at one rate.
 type Meter struct {
 	eng    *sim.Engine
@@ -30,7 +25,7 @@ type Meter struct {
 
 	// drops holds per-rail sample-dropout windows (fault injection: a DAQ
 	// buffer overrun, a flaky sense line). Sorted, non-overlapping.
-	drops map[string][]Window
+	drops map[string][]obs.Gap
 
 	// Observability (nil-safe; the bus snapshots itself).
 	bus *obs.Bus
@@ -45,7 +40,7 @@ func New(eng *sim.Engine, period sim.Duration) *Meter {
 		period = DefaultPeriod
 	}
 	return &Meter{eng: eng, period: period, rails: make(map[string]*power.Rail),
-		drops: make(map[string][]Window)}
+		drops: make(map[string][]obs.Gap)}
 }
 
 // Period reports the sampling interval.
@@ -117,7 +112,7 @@ func (m *Meter) InjectDropout(rail string, from, to sim.Time) {
 	}
 	m.bus.Instant(obs.CatMeter, "dropout", 0, int64(to.Sub(from)), rail, rail)
 	m.bus.Count("meter.dropouts", 0, rail, 1)
-	ws := append(m.drops[rail], Window{From: from, To: to})
+	ws := append(m.drops[rail], obs.Gap{From: from, To: to})
 	sort.Slice(ws, func(i, j int) bool { return ws[i].From < ws[j].From })
 	merged := ws[:1]
 	for _, w := range ws[1:] {
@@ -135,8 +130,8 @@ func (m *Meter) InjectDropout(rail string, from, to sim.Time) {
 
 // Dropouts returns the dropout windows of one rail overlapping [from, to),
 // clipped to that span.
-func (m *Meter) Dropouts(rail string, from, to sim.Time) []Window {
-	var out []Window
+func (m *Meter) Dropouts(rail string, from, to sim.Time) []obs.Gap {
+	var out []obs.Gap
 	for _, w := range m.drops[rail] {
 		if w.To <= from || w.From >= to {
 			continue

@@ -186,17 +186,13 @@ func (CSVEncoder) Encode(w io.Writer, d *Dump) error {
 // ASCIIEncoder reworks the existing ASCII renderers over the event
 // stream: spans become a trace.Gantt (one lane per category), instants a
 // stable per-category/kind tally.
-type ASCIIEncoder struct {
-	// Width is the chart width in cells; <= 0 means 72.
-	Width int
-}
+type ASCIIEncoder struct{}
+
+// asciiWidth is the ASCII chart's width in cells.
+const asciiWidth = 72
 
 // Encode implements Encoder.
-func (e ASCIIEncoder) Encode(w io.Writer, d *Dump) error {
-	width := e.Width
-	if width <= 0 {
-		width = 72
-	}
+func (ASCIIEncoder) Encode(w io.Writer, d *Dump) error {
 	g := trace.NewGantt()
 	var from, to sim.Time
 	spans := 0
@@ -226,7 +222,7 @@ func (e ASCIIEncoder) Encode(w io.Writer, d *Dump) error {
 		}
 	}
 	if spans > 0 {
-		if _, err := io.WriteString(w, g.Render(from, to, width)); err != nil {
+		if _, err := io.WriteString(w, g.Render(from, to, asciiWidth)); err != nil {
 			return err
 		}
 	}

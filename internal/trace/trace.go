@@ -92,7 +92,7 @@ func DownsampleRail(r *power.Rail, from, to sim.Time, step sim.Duration) []power
 }
 
 // DownsampleSamples re-buckets a sample series into step-sized averages.
-func DownsampleSamples(in []power.Sample, from, to sim.Time, period, step sim.Duration) []power.Sample {
+func DownsampleSamples(in []power.Sample, from, to sim.Time, step sim.Duration) []power.Sample {
 	n := int(to.Sub(from) / step)
 	if n <= 0 {
 		return nil

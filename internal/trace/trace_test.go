@@ -67,7 +67,7 @@ func TestDownsampleSamples(t *testing.T) {
 	in := []power.Sample{
 		{T: 0, W: 1}, {T: 10, W: 3}, {T: 30, W: 5},
 	}
-	out := DownsampleSamples(in, 0, 40, 10, 20)
+	out := DownsampleSamples(in, 0, 40, 20)
 	if len(out) != 2 {
 		t.Fatalf("buckets = %d", len(out))
 	}
@@ -123,7 +123,7 @@ func buildCSV(t *testing.T) string {
 	}
 	series := []Series{
 		{Name: "cpu_rail", Samples: DownsampleRail(r, 0, sim.Time(100*sim.Millisecond), 20*sim.Millisecond)},
-		{Name: "victim_psbox", Samples: DownsampleSamples(raw, 0, sim.Time(100*sim.Millisecond), 10*sim.Millisecond, 20*sim.Millisecond)},
+		{Name: "victim_psbox", Samples: DownsampleSamples(raw, 0, sim.Time(100*sim.Millisecond), 20*sim.Millisecond)},
 	}
 	var b strings.Builder
 	if err := WriteCSV(&b, series); err != nil {

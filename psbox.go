@@ -41,7 +41,6 @@ import (
 	"psbox/internal/kernel/accel"
 	"psbox/internal/kernel/fair"
 	"psbox/internal/kernel/netsched"
-	"psbox/internal/kernel/sched"
 	"psbox/internal/meter"
 	"psbox/internal/obs"
 	"psbox/internal/obs/profile"
@@ -147,10 +146,6 @@ type PlatformConfig struct {
 	// the paper's prototypes).
 	MeterPeriod sim.Duration
 	Seed        uint64
-
-	// Sched overrides the CPU scheduler configuration (nil: defaults for
-	// the CPU's core count). The ablation studies use it.
-	Sched *sched.Config
 }
 
 // AM57Config models the paper's Fig. 4(a) platform: TI AM57x EVM with a
@@ -252,11 +247,7 @@ func NewSystem(cfg PlatformConfig) *System {
 	})
 	c := cpu.MustNew(eng, cfg.CPU)
 	c.SetBus(bus)
-	schedCfg := sched.DefaultConfig(cfg.CPU.Cores)
-	if cfg.Sched != nil {
-		schedCfg = *cfg.Sched
-	}
-	k := kernel.New(eng, kernel.Config{CPU: c, Sched: schedCfg, Seed: cfg.Seed})
+	k := kernel.New(eng, kernel.Config{CPU: c, Seed: cfg.Seed})
 	k.SetBus(bus)
 	k.Scheduler().SetBus(bus, cfg.CPU.Name)
 	m := meter.New(eng, cfg.MeterPeriod)
@@ -463,7 +454,7 @@ func (s *System) FoldProfile() {
 			continue
 		}
 		samples := s.Meter.Samples(rail, from, now)
-		s.Profile.FoldRail(rail, samples, s.Meter.Period(), events, s.gaps(rail, from, now), ownerName)
+		s.Profile.FoldRail(rail, samples, s.Meter.Period(), events, s.Meter.Dropouts(rail, from, now), ownerName)
 	}
 	s.Profile.Advance(now)
 }
@@ -477,17 +468,7 @@ func (s *System) FoldProfile() {
 func (s *System) Blame(rail string, from, to Time) []obs.Blame {
 	samples := s.Meter.Samples(rail, from, to)
 	intervals := obs.IntervalsFromEvents(s.Trace.Events(), rail)
-	return obs.Attribute(samples, s.Meter.Period(), intervals, s.gaps(rail, from, to))
-}
-
-// gaps returns the meter dropouts of one rail within [from, to) as the
-// attribution joins' degraded-window gaps.
-func (s *System) gaps(rail string, from, to Time) []obs.Gap {
-	var gaps []obs.Gap
-	for _, w := range s.Meter.Dropouts(rail, from, to) {
-		gaps = append(gaps, obs.Gap{From: w.From, To: w.To})
-	}
-	return gaps
+	return obs.Attribute(samples, s.Meter.Period(), intervals, s.Meter.Dropouts(rail, from, to))
 }
 
 // Sandboxes returns the system's runtime session manager, building it on
