@@ -435,8 +435,8 @@ func TestDisabledProfilingZeroDrift(t *testing.T) {
 	if sys.Profile.Windows() != 0 || len(sys.Profile.Entries()) != 0 {
 		t.Fatalf("disabled profiler folded %d windows", sys.Profile.Windows())
 	}
-	if sys.Profile.Armed() {
-		t.Fatal("disabled profiler reports armed; checkpoint format would change")
+	if sys.Profile.Enabled() {
+		t.Fatal("disabled profiler reports enabled; checkpoint format would change")
 	}
 }
 

@@ -392,6 +392,13 @@ func (a *Analysis) propagate() {
 			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 				a.ExprValue(call)
 			}
+		case *ast.ReturnStmt:
+			// Evaluate results inside the fixpoint: a store effect reached
+			// only through `return f(...)` must grow cells that reads
+			// elsewhere in the body see.
+			for _, e := range n.Results {
+				a.ExprValue(e)
+			}
 		case *ast.DeferStmt:
 			a.ExprValue(n.Call)
 		case *ast.GoStmt:

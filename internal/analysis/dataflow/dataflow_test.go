@@ -422,6 +422,31 @@ func g(x int) int {
 	}
 }
 
+func TestReturnedCallStoreReachesFixpoint(t *testing.T) {
+	// put's store effect is reached only through the return statement; it
+	// must land inside the fixpoint, so the earlier read of b.val sees x.
+	f, info := checkPkg(t, `package p
+type box struct{ val int }
+func put(b *box, v int) int { return 0 }
+func f(b *box, x int) int {
+	y := b.val
+	_ = y
+	return put(b, x)
+}`)
+	hooks := Hooks{Call: func(call *ast.CallExpr, args *CallArgs) (Value, bool) {
+		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "put" {
+			args.Store(0, ".val", args.Labels(1))
+			return Value{}, true
+		}
+		return nil, false
+	}}
+	fd := fn(t, f, "f")
+	a := Run(info, fd.Body, seedParams(info, fd), hooks)
+	if got := a.Of(objByName(info, fd, "y")); got.Params&Param(1).Params == 0 {
+		t.Errorf("y must carry x's label from the store in the return; got %+v", got)
+	}
+}
+
 func TestArgLabelsAreFieldPrecise(t *testing.T) {
 	// Passing s.clean to a sink carries only s.clean's labels, not the
 	// labels of its tainted sibling.

@@ -15,7 +15,7 @@ import (
 func newDegradedFixture() (*sim.Engine, *power.Rail, *meter.Meter, *VirtualMeter) {
 	eng := sim.NewEngine()
 	rail := power.NewRail(eng, "r", 2.0)
-	m := meter.New(eng, 10*us)
+	m := meter.New(eng)
 	m.AddRail(rail)
 	vm := newVirtualMeter(rail, 0.5, 10*us, func(a, b sim.Time) []obs.Gap {
 		return m.Dropouts("r", a, b)

@@ -8,7 +8,6 @@ import (
 	psbox "psbox"
 	"psbox/internal/account"
 	"psbox/internal/sim"
-	"psbox/internal/workload"
 )
 
 // Ablations probe the design choices DESIGN.md §3 calls out; they are not
@@ -32,28 +31,9 @@ func AblLoans(seed uint64) AblLoansResult {
 		worstOther = math.Inf(-1) // gains register as negative loss
 		sys := psbox.NewAM57(seed)
 		sys.Kernel.Scheduler().DisableLoanRepayment = disable
-		var apps [3]*psbox.App
-		for i := range apps {
-			apps[i] = workload.Install(sys.Kernel, workload.Calib3D(2, true))
-		}
-		sys.Run(500 * sim.Millisecond)
-		var base [3]float64
-		for i, a := range apps {
-			base[i] = a.Counter("kb")
-		}
-		sys.Run(2 * sim.Second)
-		var before [3]float64
-		for i, a := range apps {
-			before[i] = a.Counter("kb") - base[i]
-		}
-		sys.Sandbox.MustCreate(apps[2], psbox.HWCPU).Enter()
-		for i, a := range apps {
-			base[i] = a.Counter("kb")
-		}
-		sys.Run(2 * sim.Second)
-		for i, a := range apps {
-			after := a.Counter("kb") - base[i]
-			loss := (1 - after/before[i]) * 100
+		_, before, after := confine(sys, "calib3d", 3, psbox.HWCPU, "kb", 2*sim.Second)
+		for i := range before {
+			loss := (1 - after[i]/before[i]) * 100
 			if i == 2 {
 				boxedLoss = loss
 			} else if loss > worstOther {
@@ -91,21 +71,8 @@ type AblStateVirtResult struct {
 // period, with and without power-state virtualization.
 func AblStateVirt(seed uint64) AblStateVirtResult {
 	observe := func(disable, preheat bool) float64 {
-		sys := psbox.NewAM57(seed)
+		sys := lingering(seed, preheat)
 		sys.Sandbox.DisableStateVirt = disable
-		hog := sys.Kernel.NewApp("hog")
-		h0 := hog.Spawn("t0", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}))
-		h1 := hog.Spawn("t1", 1, psbox.Loop(psbox.Compute{Cycles: 1e6}))
-		if !preheat {
-			sys.Kernel.Kill(h0)
-			sys.Kernel.Kill(h1)
-		}
-		sys.Run(300 * sim.Millisecond)
-		if preheat {
-			sys.Kernel.Kill(h0)
-			sys.Kernel.Kill(h1)
-			sys.Run(2 * sim.Millisecond)
-		}
 		app := sys.Kernel.NewApp("subject")
 		app.Spawn("burst", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}))
 		box := sys.Sandbox.MustCreate(app, psbox.HWCPU)
@@ -148,26 +115,9 @@ func AblDrainBilling(seed uint64) AblDrainBillingResult {
 	run := func(idleOnly bool) (boxed, worstOther float64) {
 		sys := psbox.NewAM57(seed)
 		sys.Kernel.Accel("dsp").BillDrainIdleOnly = idleOnly
-		var apps [3]*psbox.App
-		for i := range apps {
-			apps[i] = workload.Install(sys.Kernel, workload.SGEMM(2, true))
-		}
-		sys.Run(500 * sim.Millisecond)
-		var base, before [3]float64
-		for i, a := range apps {
-			base[i] = a.Counter("gflops")
-		}
-		sys.Run(3 * sim.Second)
-		for i, a := range apps {
-			before[i] = a.Counter("gflops") - base[i]
-		}
-		sys.Sandbox.MustCreate(apps[2], psbox.HWDSP).Enter()
-		for i, a := range apps {
-			base[i] = a.Counter("gflops")
-		}
-		sys.Run(3 * sim.Second)
-		for i, a := range apps {
-			loss := (1 - (a.Counter("gflops")-base[i])/before[i]) * 100
+		_, before, after := confine(sys, "sgemm", 3, psbox.HWDSP, "gflops", 3*sim.Second)
+		for i := range before {
+			loss := (1 - after[i]/before[i]) * 100
 			if i == 2 {
 				boxed = loss
 			} else if loss > worstOther {
@@ -207,12 +157,11 @@ func AblMeterRate(seed uint64) AblMeterRateResult {
 		1 * sim.Millisecond, 100 * sim.Microsecond, 10 * sim.Microsecond,
 	} {
 		measure := func(co bool) float64 {
-			sys := psbox.NewAM57(seed)
-			victim := install(sys, "calib3d", false)
+			sc := scene{platform: psbox.NewAM57, victim: "calib3d", span: 3 * sim.Second}
 			if co {
-				install(sys, "bodytrack", false)
+				sc.co = []string{"bodytrack"}
 			}
-			sys.Run(3 * sim.Second)
+			sys, victim, _ := sc.run(seed, false)
 			acc := sys.Accountant("cpu", account.PolicyUsageShare)
 			acc.Window = w
 			return acc.AppEnergy(victim.ID, 0, sys.Now())

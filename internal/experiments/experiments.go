@@ -73,6 +73,33 @@ func install(sys *psbox.System, name string, saturate bool) *psbox.App {
 	return workload.Install(sys.Kernel, f(sys.Kernel.CPU().Cores(), saturate))
 }
 
+// scene is one co-run of the paper's evaluation: a periodic victim beside
+// co-runners on a platform, with or without the victim's psbox on scope.
+type scene struct {
+	platform func(uint64) *psbox.System
+	victim   string
+	co       []string
+	saturate bool // co-runners run back to back (SDK benchmark kernels)
+	scope    psbox.HW
+	span     sim.Duration
+}
+
+// run installs the victim and then each co-runner, encloses the victim on
+// the scope when boxed, and runs the span. box is nil unless boxed.
+func (s scene) run(seed uint64, boxed bool) (sys *psbox.System, victim *psbox.App, box *psbox.Box) {
+	sys = s.platform(seed)
+	victim = install(sys, s.victim, false)
+	for _, c := range s.co {
+		install(sys, c, s.saturate)
+	}
+	if boxed {
+		box = sys.Sandbox.MustCreate(victim, s.scope)
+		box.Enter()
+	}
+	sys.Run(s.span)
+	return sys, victim, box
+}
+
 func pct(v, ref float64) float64 {
 	if ref == 0 {
 		return 0

@@ -132,25 +132,30 @@ type Fig3cResult struct {
 	ExtraPct    float64
 }
 
+// lingering builds the Fig. 3(c) AM57: both cores ran a busy loop for
+// 300 ms that stopped 2 ms ago (preheat), or never ran.
+func lingering(seed uint64, preheat bool) *psbox.System {
+	sys := psbox.NewAM57(seed)
+	warm := sys.Kernel.NewApp("warmup")
+	w0 := warm.Spawn("w0", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}))
+	w1 := warm.Spawn("w1", 1, psbox.Loop(psbox.Compute{Cycles: 1e6}))
+	if !preheat {
+		sys.Kernel.Kill(w0)
+		sys.Kernel.Kill(w1)
+	}
+	sys.Run(300 * psbox.Millisecond)
+	if preheat {
+		sys.Kernel.Kill(w0)
+		sys.Kernel.Kill(w1)
+		sys.Run(2 * psbox.Millisecond)
+	}
+	return sys
+}
+
 // Fig3c measures a fixed burst in both contexts.
 func Fig3c(seed uint64) Fig3cResult {
 	measure := func(preheat bool) float64 {
-		sys := psbox.NewAM57(seed)
-		warm := sys.Kernel.NewApp("warmup")
-		w0 := warm.Spawn("w0", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}))
-		w1 := warm.Spawn("w1", 1, psbox.Loop(psbox.Compute{Cycles: 1e6}))
-		if preheat {
-			sys.Run(300 * psbox.Millisecond)
-		} else {
-			sys.Kernel.Kill(w0)
-			sys.Kernel.Kill(w1)
-			sys.Run(300 * psbox.Millisecond)
-		}
-		if preheat {
-			sys.Kernel.Kill(w0)
-			sys.Kernel.Kill(w1)
-			sys.Run(2 * psbox.Millisecond)
-		}
+		sys := lingering(seed, preheat)
 		app := sys.Kernel.NewApp("subject")
 		app.Spawn("burst", 0, psbox.Sequence(psbox.Compute{Cycles: 12e6}))
 		start := sys.Now()

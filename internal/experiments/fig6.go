@@ -7,7 +7,6 @@ import (
 
 	psbox "psbox"
 	"psbox/internal/account"
-	"psbox/internal/core"
 	"psbox/internal/sim"
 )
 
@@ -39,39 +38,23 @@ type Fig6Result struct {
 	Rows []Fig6Row
 }
 
-// fig6Scenario describes one row's workloads.
+// fig6Scenario is one row: the victim's scene alone, and the two
+// co-runner sets it is measured beside.
 type fig6Scenario struct {
-	scope      core.HW
-	platform   func(uint64) *psbox.System
-	victim     string
-	coRunners  [][]string
-	span       sim.Duration
-	coSaturate bool // co-runners run back to back (SDK benchmark kernels)
+	scene
+	coRunners [][]string
 }
 
 func fig6Scenarios() []fig6Scenario {
 	return []fig6Scenario{
-		{
-			scope: psbox.HWCPU, platform: psbox.NewAM57, victim: "calib3d",
-			coRunners: [][]string{{"bodytrack"}, {"dedup"}},
-			span:      3 * sim.Second,
-		},
-		{
-			scope: psbox.HWDSP, platform: psbox.NewAM57, victim: "dgemm",
-			coRunners:  [][]string{{"sgemm"}, {"monte", "sgemm"}},
-			span:       5 * sim.Second,
-			coSaturate: true,
-		},
-		{
-			scope: psbox.HWGPU, platform: psbox.NewAM57, victim: "browser",
-			coRunners: [][]string{{"magic"}, {"triangle"}},
-			span:      3 * sim.Second,
-		},
-		{
-			scope: psbox.HWWiFi, platform: psbox.NewBeagleBone, victim: "browserw",
-			coRunners: [][]string{{"scp"}, {"wget"}},
-			span:      4 * sim.Second,
-		},
+		{scene{platform: psbox.NewAM57, victim: "calib3d", scope: psbox.HWCPU, span: 3 * sim.Second},
+			[][]string{{"bodytrack"}, {"dedup"}}},
+		{scene{platform: psbox.NewAM57, victim: "dgemm", saturate: true, scope: psbox.HWDSP, span: 5 * sim.Second},
+			[][]string{{"sgemm"}, {"monte", "sgemm"}}},
+		{scene{platform: psbox.NewAM57, victim: "browser", scope: psbox.HWGPU, span: 3 * sim.Second},
+			[][]string{{"magic"}, {"triangle"}}},
+		{scene{platform: psbox.NewBeagleBone, victim: "browserw", scope: psbox.HWWiFi, span: 4 * sim.Second},
+			[][]string{{"scp"}, {"wget"}}},
 	}
 }
 
@@ -82,34 +65,23 @@ func Fig6(seed uint64) Fig6Result {
 	for _, sc := range fig6Scenarios() {
 		row := Fig6Row{Scope: string(sc.scope), App: sc.victim}
 
-		runPSBox := func(co []string) float64 {
-			sys := sc.platform(seed)
-			victim := install(sys, sc.victim, false)
-			for _, c := range co {
-				install(sys, c, sc.coSaturate)
-			}
-			box := sys.Sandbox.MustCreate(victim, sc.scope)
-			box.Enter()
-			sys.Run(sc.span)
+		runPSBox := func() float64 {
+			_, _, box := sc.run(seed, true)
 			return mj(box.Read())
 		}
-		runBaseline := func(co []string) float64 {
-			sys := sc.platform(seed)
-			victim := install(sys, sc.victim, false)
-			for _, c := range co {
-				install(sys, c, sc.coSaturate)
-			}
-			sys.Run(sc.span)
+		runBaseline := func() float64 {
+			sys, victim, _ := sc.run(seed, false)
 			acc := sys.Accountant(string(sc.scope), account.PolicyUsageShare)
 			return mj(acc.AppEnergy(victim.ID, 0, sys.Now()))
 		}
 
-		row.PSBoxAloneMJ = runPSBox(nil)
-		row.BaselineAloneMJ = runBaseline(nil)
+		row.PSBoxAloneMJ = runPSBox()
+		row.BaselineAloneMJ = runBaseline()
 		for _, co := range sc.coRunners {
+			sc.co = co
 			label := strings.Join(co, "+")
-			pm := runPSBox(co)
-			bm := runBaseline(co)
+			pm := runPSBox()
+			bm := runBaseline()
 			pc := Fig6Cell{With: label, MJ: pm, DevPct: pct(pm, row.PSBoxAloneMJ)}
 			bc := Fig6Cell{With: label, MJ: bm, DevPct: pct(bm, row.BaselineAloneMJ)}
 			row.PSBox = append(row.PSBox, pc)

@@ -60,79 +60,50 @@ func overlapMs(spans []obs.Interval, victim int) float64 {
 	return overlap.Seconds() * 1000
 }
 
+// fig7Panel runs the scene and renders its device from `from` to the end
+// of the run: one Gantt lane per app from the recorder named by the scope
+// (the boxed victim starred) over that rail's power, plus the victim's
+// overlap with the other apps.
+func fig7Panel(seed uint64, sc scene, from sim.Time, boxed bool) (string, float64) {
+	sys, victim, _ := sc.run(seed, boxed)
+	dev := string(sc.scope)
+	names := map[int]string{}
+	for _, a := range sys.Kernel.Apps() {
+		n := a.Name
+		if boxed && a == victim {
+			n += "*"
+		}
+		names[a.ID] = n
+	}
+	to := sys.Now()
+	// The recorder is per rail (no core identity), so lanes are per
+	// owner: each row shows when that app occupied the device.
+	g := trace.NewGantt()
+	for _, s := range sys.Recorders[dev].Spans() {
+		if s.End <= from || s.Start >= to {
+			continue
+		}
+		g.Add(names[s.Owner], names[s.Owner], s.Start, s.End)
+	}
+	panel := g.Render(from, to, 100) + trace.Plot([]trace.Series{{
+		Name:    dev + " power",
+		Samples: trace.DownsampleRail(sys.Meter.Rail(dev), from, to, to.Sub(from)/100),
+	}}, from, to, 100, 8)
+	return panel, overlapMs(sys.Recorders[dev].Spans(), victim.ID)
+}
+
 // Fig7 runs both scenario pairs.
 func Fig7(seed uint64) Fig7Result {
+	cpu := scene{platform: psbox.NewAM57, victim: "calib3d", co: []string{"bodytrack"},
+		scope: psbox.HWCPU, span: 800 * sim.Millisecond}
+	dsp := scene{platform: psbox.NewAM57, victim: "dgemm", co: []string{"sgemm", "monte"},
+		scope: psbox.HWDSP, span: 3 * sim.Second}
+	cpuFrom, dspFrom := sim.Time(600*sim.Millisecond), sim.Time(1*sim.Second)
 	r := Fig7Result{}
-
-	runCPU := func(boxed bool) (string, float64) {
-		sys := psbox.NewAM57(seed)
-		victim := install(sys, "calib3d", false)
-		install(sys, "bodytrack", false)
-		if boxed {
-			sys.Sandbox.MustCreate(victim, psbox.HWCPU).Enter()
-		}
-		sys.Run(800 * psbox.Millisecond)
-		names := map[int]string{}
-		for _, a := range sys.Kernel.Apps() {
-			n := a.Name
-			if boxed && a == victim {
-				n += "*"
-			}
-			names[a.ID] = n
-		}
-		from, to := sim.Time(600*sim.Millisecond), sys.Now()
-		// The recorder is per rail (no core identity), so lanes are per
-		// owner: each row shows when that app occupied any core.
-		g := trace.NewGantt()
-		for _, s := range sys.Recorders["cpu"].Spans() {
-			if s.End <= from || s.Start >= to {
-				continue
-			}
-			g.Add(names[s.Owner], names[s.Owner], s.Start, s.End)
-		}
-		panel := g.Render(from, to, 100) + trace.Plot([]trace.Series{{
-			Name:    "cpu power",
-			Samples: trace.DownsampleRail(sys.Meter.Rail("cpu"), from, to, to.Sub(from)/100),
-		}}, from, to, 100, 8)
-		return panel, overlapMs(sys.Recorders["cpu"].Spans(), victim.ID)
-	}
-
-	runDSP := func(boxed bool) (string, float64) {
-		sys := psbox.NewAM57(seed)
-		victim := install(sys, "dgemm", false)
-		install(sys, "sgemm", false)
-		install(sys, "monte", false)
-		if boxed {
-			sys.Sandbox.MustCreate(victim, psbox.HWDSP).Enter()
-		}
-		sys.Run(3 * psbox.Second)
-		names := map[int]string{}
-		for _, a := range sys.Kernel.Apps() {
-			n := a.Name
-			if boxed && a == victim {
-				n += "*"
-			}
-			names[a.ID] = n
-		}
-		from, to := sim.Time(1*sim.Second), sys.Now()
-		g := trace.NewGantt()
-		for _, s := range sys.Recorders["dsp"].Spans() {
-			if s.End <= from || s.Start >= to {
-				continue
-			}
-			g.Add(names[s.Owner], names[s.Owner], s.Start, s.End)
-		}
-		panel := g.Render(from, to, 100) + trace.Plot([]trace.Series{{
-			Name:    "dsp power",
-			Samples: trace.DownsampleRail(sys.Meter.Rail("dsp"), from, to, to.Sub(from)/100),
-		}}, from, to, 100, 8)
-		return panel, overlapMs(sys.Recorders["dsp"].Spans(), victim.ID)
-	}
-
-	r.CPUUnboxedPanel, r.CPUOverlapUnboxedMs = runCPU(false)
-	r.CPUBoxedPanel, r.CPUOverlapBoxedMs = runCPU(true)
-	r.DSPUnboxedPanel, r.DSPOverlapUnboxedMs = runDSP(false)
-	r.DSPBoxedPanel, r.DSPOverlapBoxedMs = runDSP(true)
+	r.CPUUnboxedPanel, r.CPUOverlapUnboxedMs = fig7Panel(seed, cpu, cpuFrom, false)
+	r.CPUBoxedPanel, r.CPUOverlapBoxedMs = fig7Panel(seed, cpu, cpuFrom, true)
+	r.DSPUnboxedPanel, r.DSPOverlapUnboxedMs = fig7Panel(seed, dsp, dspFrom, false)
+	r.DSPBoxedPanel, r.DSPOverlapBoxedMs = fig7Panel(seed, dsp, dspFrom, true)
 	return r
 }
 

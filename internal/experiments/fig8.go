@@ -34,31 +34,54 @@ type Fig8Result struct {
 }
 
 type fig8Scenario struct {
-	domain    string
 	unit      string
 	platform  func(uint64) *psbox.System
 	wl        string
 	instances int
 	scope     psbox.HW
 	counter   string
-	warmup    sim.Duration
 	window    sim.Duration
-	saturate  bool
 }
 
 func fig8Scenarios() []fig8Scenario {
 	return []fig8Scenario{
-		// All instances saturate: the figure is about who pays under
-		// contention.
-		{"cpu", "KB/s", psbox.NewAM57, "calib3d", 3, psbox.HWCPU, "kb",
-			500 * sim.Millisecond, 2 * sim.Second, true},
-		{"dsp", "GFLOPS", psbox.NewAM57, "sgemm", 3, psbox.HWDSP, "gflops",
-			500 * sim.Millisecond, 3 * sim.Second, true},
-		{"gpu", "cmds/s", psbox.NewAM57, "cube", 2, psbox.HWGPU, "cmds",
-			500 * sim.Millisecond, 2 * sim.Second, true},
-		{"wifi", "KB/s", psbox.NewBeagleBone, "wget", 2, psbox.HWWiFi, "bytes",
-			500 * sim.Millisecond, 3 * sim.Second, true},
+		{"KB/s", psbox.NewAM57, "calib3d", 3, psbox.HWCPU, "kb", 2 * sim.Second},
+		{"GFLOPS", psbox.NewAM57, "sgemm", 3, psbox.HWDSP, "gflops", 3 * sim.Second},
+		{"cmds/s", psbox.NewAM57, "cube", 2, psbox.HWGPU, "cmds", 2 * sim.Second},
+		{"KB/s", psbox.NewBeagleBone, "wget", 2, psbox.HWWiFi, "bytes", 3 * sim.Second},
 	}
+}
+
+// confine is the Fig. 8 measurement on sys: n instances of wl, all
+// saturating because the figure is about who pays under contention, warm
+// up for 500 ms; counter is read over one window, the last instance
+// enters its psbox on scope, and counter is read over a second window.
+// It returns the instances and each one's counter deltas over the two
+// windows.
+func confine(sys *psbox.System, wl string, n int, scope psbox.HW, counter string, window sim.Duration) (apps []*psbox.App, before, after []float64) {
+	apps = make([]*psbox.App, n)
+	for i := range apps {
+		apps[i] = install(sys, wl, true)
+	}
+	sys.Run(500 * sim.Millisecond)
+	read := func() []float64 {
+		v := make([]float64, n)
+		for i, a := range apps {
+			v[i] = a.Counter(counter)
+		}
+		return v
+	}
+	c0 := read()
+	sys.Run(window)
+	c1 := read()
+	sys.Sandbox.MustCreate(apps[n-1], scope).Enter()
+	sys.Run(window)
+	c2 := read()
+	before, after = make([]float64, n), make([]float64, n)
+	for i := range apps {
+		before[i], after[i] = c1[i]-c0[i], c2[i]-c1[i]
+	}
+	return apps, before, after
 }
 
 // Fig8 co-runs identical saturating instances, measures per-instance
@@ -66,30 +89,8 @@ func fig8Scenarios() []fig8Scenario {
 func Fig8(seed uint64) Fig8Result {
 	var out Fig8Result
 	for _, sc := range fig8Scenarios() {
-		sys := sc.platform(seed)
-		apps := make([]*psbox.App, sc.instances)
-		for i := range apps {
-			apps[i] = install(sys, sc.wl, sc.saturate)
-		}
-		sys.Run(sc.warmup)
-
-		snapshot := func() []float64 {
-			v := make([]float64, len(apps))
-			for i, a := range apps {
-				v[i] = a.Counter(sc.counter)
-			}
-			return v
-		}
-		base0 := snapshot()
-		sys.Run(sc.window)
-		base1 := snapshot()
-
-		box := sys.Sandbox.MustCreate(apps[len(apps)-1], sc.scope)
-		box.Enter()
-		sys.Run(sc.window)
-		after1 := snapshot()
-
-		d := Fig8Domain{Domain: sc.domain, Unit: sc.unit}
+		apps, before, after := confine(sc.platform(seed), sc.wl, sc.instances, sc.scope, sc.counter, sc.window)
+		d := Fig8Domain{Domain: string(sc.scope), Unit: sc.unit}
 		sec := sc.window.Seconds()
 		scale := 1.0
 		if sc.counter == "bytes" {
@@ -99,8 +100,8 @@ func Fig8(seed uint64) Fig8Result {
 			inst := Fig8Instance{
 				Name:   a.Name,
 				Boxed:  i == len(apps)-1,
-				Before: (base1[i] - base0[i]) / sec * scale,
-				After:  (after1[i] - base1[i]) / sec * scale,
+				Before: before[i] / sec * scale,
+				After:  after[i] / sec * scale,
 			}
 			inst.ChangePct = pct(inst.After, inst.Before)
 			d.Instances = append(d.Instances, inst)

@@ -69,67 +69,41 @@ func Tab62(seed uint64) Tab62Result {
 	})
 	out.ShootdownIPI = 15 * sim.Microsecond
 
-	// GPU: browser (victim) + magic; dispatch latency of the victim;
-	// throughput = total commands.
-	gpuRun := func(boxed bool) (sim.Duration, float64) {
-		sys := psbox.NewAM57(seed)
-		victim := install(sys, "browser", false)
-		other := install(sys, "magic", false)
-		if boxed {
-			sys.Sandbox.MustCreate(victim, psbox.HWGPU).Enter()
+	// GPU, DSP and WiFi: the victim beside one co-runner. Latency is the
+	// victim's dispatch latency (queueing latency on WiFi); throughput is
+	// the pair's total commands, work or bytes. The DSP's long commands
+	// make drains long.
+	for _, d := range []struct {
+		scene
+		measure func(sys *psbox.System, victim, other *psbox.App) (sim.Duration, float64)
+	}{
+		{scene{platform: psbox.NewAM57, victim: "browser", co: []string{"magic"}, scope: psbox.HWGPU, span: 3 * sim.Second},
+			func(sys *psbox.System, victim, other *psbox.App) (sim.Duration, float64) {
+				drv := sys.Kernel.Accel("gpu")
+				return drv.MeanDispatchLatency(victim.ID), float64(drv.Completed(victim.ID) + drv.Completed(other.ID))
+			}},
+		{scene{platform: psbox.NewAM57, victim: "dgemm", co: []string{"sgemm"}, scope: psbox.HWDSP, span: 5 * sim.Second},
+			func(sys *psbox.System, victim, other *psbox.App) (sim.Duration, float64) {
+				drv := sys.Kernel.Accel("dsp")
+				return drv.MeanDispatchLatency(victim.ID), drv.WorkDone(victim.ID) + drv.WorkDone(other.ID)
+			}},
+		{scene{platform: psbox.NewBeagleBone, victim: "browserw", co: []string{"scp"}, scope: psbox.HWWiFi, span: 4 * sim.Second},
+			func(sys *psbox.System, victim, other *psbox.App) (sim.Duration, float64) {
+				nd := sys.Kernel.Net()
+				return nd.MeanQueueingLatency(victim.ID), float64(nd.SentBytes(victim.ID) + nd.SentBytes(other.ID))
+			}},
+	} {
+		run := func(boxed bool) (sim.Duration, float64) {
+			sys, victim, _ := d.run(seed, boxed)
+			return d.measure(sys, victim, sys.Kernel.Apps()[1])
 		}
-		sys.Run(3 * psbox.Second)
-		drv := sys.Kernel.Accel("gpu")
-		total := float64(drv.Completed(victim.ID) + drv.Completed(other.ID))
-		return drv.MeanDispatchLatency(victim.ID), total
+		latB, thrB = run(false)
+		latX, thrX = run(true)
+		out.Rows = append(out.Rows, Tab62Row{
+			Domain: string(d.scope), LatencyBase: latB, LatencyBoxed: latX,
+			LatencyDelta: latX - latB, TotalLossPct: -pct(thrX, thrB),
+		})
 	}
-	latB, thrB = gpuRun(false)
-	latX, thrX = gpuRun(true)
-	out.Rows = append(out.Rows, Tab62Row{
-		Domain: "gpu", LatencyBase: latB, LatencyBoxed: latX,
-		LatencyDelta: latX - latB, TotalLossPct: -pct(thrX, thrB),
-	})
-
-	// DSP: dgemm (victim) + sgemm; long commands make drains long.
-	dspRun := func(boxed bool) (sim.Duration, float64) {
-		sys := psbox.NewAM57(seed)
-		victim := install(sys, "dgemm", false)
-		other := install(sys, "sgemm", false)
-		if boxed {
-			sys.Sandbox.MustCreate(victim, psbox.HWDSP).Enter()
-		}
-		sys.Run(5 * psbox.Second)
-		drv := sys.Kernel.Accel("dsp")
-		total := drv.WorkDone(victim.ID) + drv.WorkDone(other.ID)
-		return drv.MeanDispatchLatency(victim.ID), total
-	}
-	latB, thrB = dspRun(false)
-	latX, thrX = dspRun(true)
-	out.Rows = append(out.Rows, Tab62Row{
-		Domain: "dsp", LatencyBase: latB, LatencyBoxed: latX,
-		LatencyDelta: latX - latB, TotalLossPct: -pct(thrX, thrB),
-	})
-
-	// WiFi: browserw (victim) + scp; queueing latency of the victim's
-	// packets; throughput = total bytes.
-	wifiRun := func(boxed bool) (sim.Duration, float64) {
-		sys := psbox.NewBeagleBone(seed)
-		victim := install(sys, "browserw", false)
-		other := install(sys, "scp", false)
-		if boxed {
-			sys.Sandbox.MustCreate(victim, psbox.HWWiFi).Enter()
-		}
-		sys.Run(4 * psbox.Second)
-		nd := sys.Kernel.Net()
-		total := float64(nd.SentBytes(victim.ID) + nd.SentBytes(other.ID))
-		return nd.MeanQueueingLatency(victim.ID), total
-	}
-	latB, thrB = wifiRun(false)
-	latX, thrX = wifiRun(true)
-	out.Rows = append(out.Rows, Tab62Row{
-		Domain: "wifi", LatencyBase: latB, LatencyBoxed: latX,
-		LatencyDelta: latX - latB, TotalLossPct: -pct(thrX, thrB),
-	})
 
 	return out
 }

@@ -198,16 +198,15 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// ShardSeed derives shard i's simulation seed from the fleet seed with a
-// splitmix64 finalizer, so neighbouring shards get uncorrelated streams.
+// ShardSeed derives shard i's simulation seed from the fleet seed: the
+// (i+1)-th draw of sim.NewRand(fleet), so neighbouring shards get
+// uncorrelated streams.
 func ShardSeed(fleet uint64, shard int) uint64 {
-	z := fleet + 0x9e3779b97f4a7c15*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	r := sim.NewRand(fleet)
+	for i := 0; i < shard; i++ {
+		r.Uint64()
+	}
+	return r.Uint64()
 }
 
 // ShardOutcome is one shard's terminal state: either a report (possibly
@@ -359,14 +358,13 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Chec
 }
 
 // runShard drives one shard to a terminal outcome: attempts run under
-// supervision, failures accumulate, retries back off (capped doubling,
-// the same shape as the accel watchdog and netsched retransmission
-// schedules) and resume from the last validated checkpoint, and a shard
-// that exhausts MaxRetries is quarantined.
+// supervision, failures accumulate, retries back off on sim.Backoff (the
+// accel watchdog's and netsched retransmission's capped doubling, in host
+// time) and resume from the last validated checkpoint, and a shard that
+// exhausts MaxRetries is quarantined.
 func runShard(cfg Config, shard int) ShardOutcome {
 	st := &shardState{cfg: cfg, shard: shard, seed: ShardSeed(cfg.Seed, shard)}
 	out := ShardOutcome{Shard: shard, Seed: st.seed}
-	backoff := cfg.BackoffBase
 	for attempt := 0; ; attempt++ {
 		out.Attempts = attempt + 1
 
@@ -407,13 +405,7 @@ func runShard(cfg Config, shard int) ShardOutcome {
 			out.Quarantined = true
 			return out
 		}
-		time.Sleep(backoff)
-		if backoff < cfg.BackoffCap {
-			backoff *= 2
-			if backoff > cfg.BackoffCap {
-				backoff = cfg.BackoffCap
-			}
-		}
+		time.Sleep(time.Duration(sim.Backoff(attempt+1, sim.FromHost(cfg.BackoffBase), sim.FromHost(cfg.BackoffCap))))
 	}
 }
 

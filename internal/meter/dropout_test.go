@@ -10,7 +10,7 @@ import (
 func dropFixture(t *testing.T) (*sim.Engine, *Meter) {
 	t.Helper()
 	e := sim.NewEngine()
-	m := New(e, 0) // 10 µs period
+	m := New(e) // 10 µs period
 	m.AddRail(power.NewRail(e, "cpu", 1.0))
 	return e, m
 }

@@ -1,7 +1,7 @@
 // Package meter models the platforms' in-situ power metering (§5): a DAQ
-// sampling each hardware power rail at a configurable rate (100 kHz on the
-// paper's prototypes, i.e. one timestamped sample every 10 µs), with
-// timestamps drawn from the same clock the apps see.
+// sampling each hardware power rail at 100 kHz (the paper's prototypes,
+// i.e. one timestamped sample every 10 µs), with timestamps drawn from the
+// same clock the apps see.
 package meter
 
 import (
@@ -18,10 +18,9 @@ const DefaultPeriod = 10 * sim.Microsecond
 
 // Meter is the DAQ: a set of rails sampled at one rate.
 type Meter struct {
-	eng    *sim.Engine
-	period sim.Duration
-	rails  map[string]*power.Rail
-	names  []string
+	eng   *sim.Engine
+	rails map[string]*power.Rail
+	names []string
 
 	// drops holds per-rail sample-dropout windows (fault injection: a DAQ
 	// buffer overrun, a flaky sense line). Sorted, non-overlapping.
@@ -34,17 +33,13 @@ type Meter struct {
 // SetBus routes DAQ sample-window events (dropouts) to a bus.
 func (m *Meter) SetBus(b *obs.Bus) { m.bus = b }
 
-// New builds a meter. A non-positive period falls back to DefaultPeriod.
-func New(eng *sim.Engine, period sim.Duration) *Meter {
-	if period <= 0 {
-		period = DefaultPeriod
-	}
-	return &Meter{eng: eng, period: period, rails: make(map[string]*power.Rail),
-		drops: make(map[string][]obs.Gap)}
+// New builds a meter sampling every DefaultPeriod.
+func New(eng *sim.Engine) *Meter {
+	return &Meter{eng: eng, rails: make(map[string]*power.Rail), drops: make(map[string][]obs.Gap)}
 }
 
 // Period reports the sampling interval.
-func (m *Meter) Period() sim.Duration { return m.period }
+func (m *Meter) Period() sim.Duration { return DefaultPeriod }
 
 // AddRail attaches a metering scope.
 func (m *Meter) AddRail(r *power.Rail) {
@@ -78,7 +73,7 @@ func (m *Meter) Rails() []string { return m.names }
 // inside injected dropout windows are missing, exactly as a DAQ overrun
 // loses them.
 func (m *Meter) Samples(rail string, from, to sim.Time) []power.Sample {
-	all := m.Rail(rail).SamplesBetween(from, to, m.period, nil)
+	all := m.Rail(rail).SamplesBetween(from, to, DefaultPeriod, nil)
 	drops := m.drops[rail]
 	if len(drops) == 0 {
 		return all

@@ -9,7 +9,7 @@ import (
 
 func TestMeterBasics(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, 0)
+	m := New(e)
 	if m.Period() != DefaultPeriod {
 		t.Fatalf("period = %v", m.Period())
 	}
@@ -33,13 +33,13 @@ func TestMeterBasics(t *testing.T) {
 
 func TestMeterTimestampsMonotone(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, 25*sim.Microsecond)
+	m := New(e)
 	r := power.NewRail(e, "gpu", 0.3)
 	m.AddRail(r)
 	e.Run(sim.Time(10 * sim.Millisecond))
 	s := m.Samples("gpu", sim.Time(1*sim.Millisecond), sim.Time(9*sim.Millisecond))
 	for i := 1; i < len(s); i++ {
-		if s[i].T != s[i-1].T.Add(25*sim.Microsecond) {
+		if s[i].T != s[i-1].T.Add(DefaultPeriod) {
 			t.Fatalf("samples not evenly spaced at %d", i)
 		}
 	}
@@ -47,7 +47,7 @@ func TestMeterTimestampsMonotone(t *testing.T) {
 
 func TestMeterDuplicateRailPanics(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, 0)
+	m := New(e)
 	m.AddRail(power.NewRail(e, "cpu", 1))
 	defer func() {
 		if recover() == nil {
@@ -59,7 +59,7 @@ func TestMeterDuplicateRailPanics(t *testing.T) {
 
 func TestMeterUnknownRailPanics(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, 0)
+	m := New(e)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

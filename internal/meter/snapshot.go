@@ -10,7 +10,7 @@ import (
 // history (stable name order), and the injected dropout windows (sorted
 // by rail name).
 func (m *Meter) Snapshot(enc *snapshot.Encoder) {
-	enc.I64(int64(m.period))
+	enc.I64(int64(DefaultPeriod))
 	enc.Len(len(m.names))
 	for _, name := range m.names {
 		m.rails[name].Snapshot(enc)

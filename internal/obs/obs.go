@@ -136,9 +136,6 @@ func NewBus(eng *sim.Engine, capacity int) *Bus {
 // Enable turns emission on.
 func (b *Bus) Enable() { b.enabled = true }
 
-// Disable turns emission off; retained events stay.
-func (b *Bus) Disable() { b.enabled = false }
-
 // Enabled reports whether the bus is recording.
 func (b *Bus) Enabled() bool { return b != nil && b.enabled }
 

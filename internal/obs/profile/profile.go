@@ -54,12 +54,11 @@ const (
 )
 
 // Profiler accumulates the folded tree. Like the trace bus it is disabled
-// by default; Enable arms it (stickily — see Armed) and every folding
-// entry point checks the flag first, so an idle profiler costs one branch
-// and changes nothing observable.
+// by default, and once enabled it stays on; every folding entry point
+// checks the flag first, so an idle profiler costs one branch and changes
+// nothing observable.
 type Profiler struct {
 	enabled  bool
-	armed    bool // sticky: set by the first Enable, never cleared
 	through  sim.Time
 	windows  uint64 // blame windows folded
 	degraded uint64 // folded windows overlapping a dropout gap
@@ -72,21 +71,12 @@ func New() *Profiler {
 }
 
 // Enable turns folding on.
-func (p *Profiler) Enable() {
-	p.enabled = true
-	p.armed = true
-}
+func (p *Profiler) Enable() { p.enabled = true }
 
-// Disable turns folding off; accumulated weights stay.
-func (p *Profiler) Disable() { p.enabled = false }
-
-// Enabled reports whether the profiler is folding.
-func (p *Profiler) Enabled() bool { return p != nil && p.enabled }
-
-// Armed reports whether the profiler has ever been enabled. The system
-// checkpoint includes the profiler's section exactly when it is armed, so
+// Enabled reports whether the profiler is folding. The system checkpoint
+// includes the profiler's section exactly when it is enabled, so
 // scenarios that never profile keep their historical checkpoint bytes.
-func (p *Profiler) Armed() bool { return p != nil && p.armed }
+func (p *Profiler) Enabled() bool { return p != nil && p.enabled }
 
 // Through is the fold watermark: everything before it has been folded.
 // Callers fold [Through, now) and then Advance, so repeated folds never
@@ -206,40 +196,27 @@ func (p *Profiler) Entries() []Entry {
 	if p == nil {
 		return nil
 	}
-	keys := make([]Key, 0, len(p.weights))
-	for k := range p.weights {
-		keys = append(keys, k)
+	out := make([]Entry, 0, len(p.weights))
+	for k, j := range p.weights {
+		out = append(out, Entry{App: k.App, Comp: k.Comp, Rail: k.Rail, J: j})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		if a.Comp != b.Comp {
-			return a.Comp < b.Comp
-		}
-		return a.Rail < b.Rail
-	})
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Entry{App: k.App, Comp: k.Comp, Rail: k.Rail, J: p.weights[k]})
-	}
+	slices.SortFunc(out, compareEntries)
 	return out
 }
 
-// SortEntries orders entries canonically by (App, Comp, Rail).
-func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		if a.Comp != b.Comp {
-			return a.Comp < b.Comp
-		}
-		return a.Rail < b.Rail
-	})
+// compareEntries is the canonical (App, Comp, Rail) order.
+func compareEntries(a, b Entry) int {
+	if c := cmp.Compare(a.App, b.App); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Comp, b.Comp); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Rail, b.Rail)
 }
+
+// SortEntries orders entries canonically by (App, Comp, Rail).
+func SortEntries(es []Entry) { slices.SortFunc(es, compareEntries) }
 
 // MergeEntries folds several entry lists (e.g. per-shard profiles, in
 // ascending shard-ID order) into one canonical list. Identical keys sum;

@@ -73,13 +73,8 @@ func TestFoldDisabledIsNoOp(t *testing.T) {
 	if len(p.Entries()) != 0 || p.Windows() != 0 {
 		t.Fatalf("disabled profiler accumulated state: %+v", p.Entries())
 	}
-	if p.Armed() {
-		t.Fatal("never-enabled profiler reports armed")
-	}
-	p.Enable()
-	p.Disable()
-	if !p.Armed() {
-		t.Fatal("armed flag must be sticky across Disable")
+	if p.Enabled() {
+		t.Fatal("never-enabled profiler reports enabled")
 	}
 }
 

@@ -166,8 +166,7 @@ type Session struct {
 	app   *kernel.App // current incarnation; nil only before first start
 	box   *core.Box   // current incarnation's sandbox
 
-	violations int  // consecutive violation windows
-	throttled  bool // CPU gate duty-cycling active
+	violations int // consecutive violation windows
 
 	preserved map[string]float64 // preserve_data carried across restarts
 	failures  []sim.Time         // recent kill instants, pruned to BreakerWindow
@@ -362,7 +361,6 @@ func (m *Manager) start(s *Session) {
 	s.box.Enter()
 	s.spec.Start(s.app)
 	s.state = StateRunning
-	s.throttled = false
 	s.violations = 0
 	s.spanStart = m.eng.Now()
 }
@@ -400,7 +398,7 @@ func (m *Manager) tick(now sim.Time) {
 		}
 		budgetJ := s.spec.BudgetW * winSec
 		limitJ := budgetJ
-		if s.throttled {
+		if s.state == StateThrottled {
 			// Held against the duty-scaled budget: a throttled hog still
 			// saturates its open slice and keeps violating; an app that
 			// reformed drops below and recovers.
@@ -415,19 +413,19 @@ func (m *Manager) tick(now sim.Time) {
 			m.bus.Count("session.violations", s.app.ID, "", 1)
 		} else {
 			s.violations = 0
-			if s.throttled {
+			if s.state == StateThrottled {
 				m.unthrottle(s)
 			}
 		}
-		if !s.throttled && s.violations >= m.cfg.ThrottleAfter {
+		if s.state != StateThrottled && s.violations >= m.cfg.ThrottleAfter {
 			s.peakJ = e
 			m.throttle(s)
-		} else if s.throttled && s.violations >= m.cfg.KillAfter {
+		} else if s.state == StateThrottled && s.violations >= m.cfg.KillAfter {
 			//psbox:allow-unbilledenergy teardown is not a metering event; the next tick's Shares call bills the closed window
 			m.kill(s, "budget")
 			continue
 		}
-		if s.throttled {
+		if s.state == StateThrottled {
 			m.pulseGate(s)
 		}
 	}
@@ -448,7 +446,6 @@ func (m *Manager) backlog(appID int) int {
 func (m *Manager) throttle(s *Session) {
 	m.bus.Span(obs.CatSession, "run", s.app.ID, 0, "", s.spec.Name, s.spanStart)
 	s.state = StateThrottled
-	s.throttled = true
 	s.violations = 0
 	s.spanStart = m.eng.Now()
 	s.throttles++
@@ -478,7 +475,6 @@ func (m *Manager) pulseGate(s *Session) {
 func (m *Manager) unthrottle(s *Session) {
 	m.bus.Span(obs.CatSession, "throttle", s.app.ID, 0, "", s.spec.Name, s.spanStart)
 	s.state = StateRunning
-	s.throttled = false
 	s.spanStart = m.eng.Now()
 	if s.gateArm != (sim.Handle{}) {
 		m.eng.Cancel(s.gateArm)
@@ -493,7 +489,7 @@ func (m *Manager) unthrottle(s *Session) {
 func (m *Manager) kill(s *Session, reason string) {
 	now := m.eng.Now()
 	span := "run"
-	if s.throttled {
+	if s.state == StateThrottled {
 		span = "throttle"
 	}
 	m.bus.Span(obs.CatSession, span, s.app.ID, 0, "", s.spec.Name, s.spanStart)
@@ -510,7 +506,6 @@ func (m *Manager) kill(s *Session, reason string) {
 	m.k.Scheduler().SetAppGate(s.app.ID, true)
 	s.box.Leave()
 	s.state = StateKilled
-	s.throttled = false
 	s.spanStart = now
 	s.kills++
 	m.stats.Kills++
@@ -560,7 +555,7 @@ func (m *Manager) quarantine(s *Session) {
 // retire finishes a session whose app exited on its own.
 func (m *Manager) retire(s *Session) {
 	span := "run"
-	if s.throttled {
+	if s.state == StateThrottled {
 		span = "throttle"
 	}
 	m.bus.Span(obs.CatSession, span, s.app.ID, 0, "", s.spec.Name, s.spanStart)
@@ -571,7 +566,6 @@ func (m *Manager) retire(s *Session) {
 	m.k.Scheduler().SetAppGate(s.app.ID, true)
 	s.box.Leave()
 	s.state = StateRetired
-	s.throttled = false
 	s.spanStart = m.eng.Now()
 	m.reserved -= s.spec.BudgetW
 	m.stats.Retired++

@@ -23,7 +23,7 @@ func (s *Session) snapshot(enc *snapshot.Encoder) {
 	}
 	enc.Bool(s.box != nil)
 	enc.I64(int64(s.violations))
-	enc.Bool(s.throttled)
+	enc.Bool(s.state == StateThrottled)
 	keys := make([]string, 0, len(s.preserved))
 	for k := range s.preserved {
 		keys = append(keys, k)

@@ -74,13 +74,21 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("scenario: %s: %s", e.Field, e.Msg)
 }
 
+// platforms maps each platform name to its configuration.
+var platforms = map[string]func(seed uint64) psbox.PlatformConfig{
+	"am57":       psbox.AM57Config,
+	"beaglebone": psbox.BeagleBoneConfig,
+	"mobile":     psbox.MobileConfig,
+}
+
 func (s *Spec) validate() error {
-	switch s.Platform {
-	case "am57", "beaglebone", "mobile":
-	default:
+	platform, ok := platforms[s.Platform]
+	if !ok {
 		return &ValidationError{Field: "platform", Index: -1,
 			Msg: fmt.Sprintf("unknown platform %q (am57, beaglebone, mobile)", s.Platform)}
 	}
+	cfg := platform(s.Seed)
+	devices := map[string]bool{"cpu": true, "gpu": cfg.GPU != nil, "dsp": cfg.DSP != nil, "wifi": cfg.WiFi != nil}
 	if s.DurationMs <= 0 {
 		return &ValidationError{Field: "duration_ms", Index: -1, Msg: "must be positive"}
 	}
@@ -97,9 +105,14 @@ func (s *Spec) validate() error {
 			}
 			seen[a.Name] = i
 		}
-		if _, ok := catalog[a.Workload]; !ok {
+		f, ok := catalog[a.Workload]
+		if !ok {
 			return &ValidationError{Field: fmt.Sprintf("apps[%d].workload", i), Index: i,
 				Msg: fmt.Sprintf("unknown workload %q (see fig5 for the catalog)", a.Workload)}
+		}
+		if d := f(cfg.CPU.Cores, a.Saturate).Domain; !devices[d] {
+			return &ValidationError{Field: fmt.Sprintf("apps[%d].workload", i), Index: i,
+				Msg: fmt.Sprintf("workload %q needs a %s device, which platform %q lacks", a.Workload, d, s.Platform)}
 		}
 		if a.Count < 0 {
 			return &ValidationError{Field: fmt.Sprintf("apps[%d].count", i), Index: i,
@@ -154,15 +167,7 @@ func Run(s *Spec) (*Report, error) {
 // — and returns the driven system alongside the report so callers can
 // read traces, metrics, and blame timelines off it.
 func RunWithSystem(s *Spec, setup func(*psbox.System)) (*Report, *psbox.System, error) {
-	var sys *psbox.System
-	switch s.Platform {
-	case "am57":
-		sys = psbox.NewAM57(s.Seed)
-	case "beaglebone":
-		sys = psbox.NewBeagleBone(s.Seed)
-	case "mobile":
-		sys = psbox.NewMobile(s.Seed)
-	}
+	sys := psbox.NewSystem(platforms[s.Platform](s.Seed))
 	if setup != nil {
 		setup(sys)
 	}

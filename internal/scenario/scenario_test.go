@@ -39,6 +39,8 @@ func TestParseRejections(t *testing.T) {
 		"count":    `{"platform":"am57","duration_ms":1,"apps":[{"workload":"magic","count":-1}]}`,
 		"field":    `{"platform":"am57","duration_ms":1,"apps":[{"workload":"magic"}],"speed":9}`,
 		"not json": `platform: am57`,
+		"no nic":   `{"platform":"am57","seed":1,"duration_ms":50,"apps":[{"workload":"scp"}]}`,
+		"no gpu":   `{"platform":"beaglebone","seed":1,"duration_ms":50,"apps":[{"workload":"magic"}]}`,
 	}
 	for name, doc := range bad {
 		if _, err := Parse(strings.NewReader(doc)); err == nil {
@@ -159,6 +161,10 @@ func TestTypedValidationErrors(t *testing.T) {
 			"apps[2].name", 2},
 		{`{"platform":"am57","duration_ms":1,"apps":[{"workload":"magic","box":["npu"]}]}`,
 			"apps[0].box", 0},
+		{`{"platform":"am57","seed":1,"duration_ms":50,"apps":[{"workload":"scp"}]}`,
+			"apps[0].workload", 0},
+		{`{"platform":"beaglebone","seed":1,"duration_ms":50,"apps":[{"workload":"magic"}]}`,
+			"apps[0].workload", 0},
 	}
 	for _, tc := range cases {
 		_, err := Parse(strings.NewReader(tc.doc))

@@ -141,11 +141,7 @@ type PlatformConfig struct {
 	Display *display.Config // nil: absent (§7 extension scope)
 	GPS     *gps.Config     // nil: absent (§7 extension scope)
 	DRAM    *dram.Config    // nil: absent (§7 extension scope)
-
-	// MeterPeriod is the DAQ sampling interval (default 10 µs = 100 kHz,
-	// the paper's prototypes).
-	MeterPeriod sim.Duration
-	Seed        uint64
+	Seed    uint64
 }
 
 // AM57Config models the paper's Fig. 4(a) platform: TI AM57x EVM with a
@@ -250,7 +246,7 @@ func NewSystem(cfg PlatformConfig) *System {
 	k := kernel.New(eng, kernel.Config{CPU: c, Seed: cfg.Seed})
 	k.SetBus(bus)
 	k.Scheduler().SetBus(bus, cfg.CPU.Name)
-	m := meter.New(eng, cfg.MeterPeriod)
+	m := meter.New(eng)
 	m.SetBus(bus)
 	m.AddRail(c.Rail())
 

@@ -49,7 +49,7 @@ func (s *System) registry() *snapshot.Registry {
 		reg.Add("faults", s.Faults.Snapshot)
 	}
 	reg.Add("obs", s.Trace.Snapshot)
-	if s.Profile.Armed() {
+	if s.Profile.Enabled() {
 		// The profiler's section exists only once a scenario has enabled
 		// profiling, so the checkpoint wire format of pre-existing
 		// scenarios is unchanged.
