@@ -404,10 +404,7 @@ func (b *Box) Leave() {
 	for _, h := range b.hw {
 		b.vmeters[h].leave(now)
 	}
-	if b.cpuGovArm != (sim.Handle{}) {
-		b.mgr.k.Engine().Cancel(b.cpuGovArm)
-		b.cpuGovArm = sim.Handle{}
-	}
+	b.mgr.k.Engine().Cancel(b.cpuGovArm)
 	b.cpuResAccum = 0
 	b.entered = false
 	b.mgr.bus.Instant(obs.CatBox, "leave", b.app.ID, int64(b.enters), "", b.app.Name)
@@ -433,7 +430,6 @@ func (b *Box) armVirtualGovernor() {
 // saturating app looks 100% utilized no matter how little CPU the
 // scheduler granted it, while a frame-paced app keeps its duty cycle.
 func (b *Box) virtualGovTick(now sim.Time) {
-	b.cpuGovArm = sim.Handle{}
 	if !b.entered {
 		return
 	}

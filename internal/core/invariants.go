@@ -59,7 +59,7 @@ func (c *Checker) Check() []string {
 			}
 			sum += c.mgr.m.Energy(name, c.lastCheck, now)
 		}
-		tol := 1e-5*math.Abs(bat) + 1e-9
+		tol := float64(1e-5*math.Abs(bat)) + 1e-9
 		if math.Abs(bat-sum) > tol {
 			out = append(out, fmt.Sprintf(
 				"energy conservation: battery %.12g J != component sum %.12g J over [%v, %v)",

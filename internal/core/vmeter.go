@@ -116,7 +116,7 @@ func (v *VirtualMeter) segEnergy(s vseg) (direct, est power.Joules, gaps int) {
 		if w.From > cur {
 			direct += v.rail.EnergyBetween(cur, w.From)
 		}
-		est += v.holdPower(w.From) * w.To.Sub(w.From).Seconds()
+		est += float64(v.holdPower(w.From) * w.To.Sub(w.From).Seconds())
 		gaps++
 		cur = w.To
 	}

@@ -47,7 +47,7 @@ func Distance(a, b []float64, window int) float64 {
 		}
 		for j := lo; j <= hi; j++ {
 			d := a[i-1] - b[j-1]
-			cost := d * d
+			cost := float64(d * d)
 			best := prev[j] // insertion
 			if prev[j-1] < best {
 				best = prev[j-1] // match
@@ -76,7 +76,7 @@ func Normalize(s []float64) []float64 {
 	mean /= float64(len(s))
 	var variance float64
 	for _, v := range s {
-		variance += (v - mean) * (v - mean)
+		variance += float64((v - mean) * (v - mean))
 	}
 	variance /= float64(len(s))
 	sd := math.Sqrt(variance)

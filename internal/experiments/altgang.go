@@ -71,7 +71,7 @@ func AltGang(seed uint64) AltGangResult {
 			mean /= float64(len(gaps))
 			var variance float64
 			for _, g := range gaps {
-				variance += (g - mean) * (g - mean)
+				variance += float64((g - mean) * (g - mean))
 			}
 			variance /= float64(len(gaps))
 			jitterCV = math.Sqrt(variance) / mean

@@ -107,7 +107,7 @@ func pct(v, ref float64) float64 {
 	return (v - ref) / ref * 100
 }
 
-func mj(j float64) float64 { return j * 1000 }
+func mj(j float64) float64 { return float64(j * 1000) }
 
 // header renders a section banner.
 func header(title string) string {

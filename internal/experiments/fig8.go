@@ -100,8 +100,8 @@ func Fig8(seed uint64) Fig8Result {
 			inst := Fig8Instance{
 				Name:   a.Name,
 				Boxed:  i == len(apps)-1,
-				Before: before[i] / sec * scale,
-				After:  after[i] / sec * scale,
+				Before: float64(before[i] / sec * scale),
+				After:  float64(after[i] / sec * scale),
 			}
 			inst.ChangePct = pct(inst.After, inst.Before)
 			d.Instances = append(d.Instances, inst)

@@ -114,15 +114,9 @@ type Config struct {
 	BackoffCap  time.Duration
 
 	// StallTimeout is the hung-shard watchdog deadline: wall time without
-	// sim-time progress before the attempt is cancelled. Default 30s.
-	// PollEvery is the watchdog's check cadence (default StallTimeout/10).
+	// sim-time progress before the attempt is cancelled. Default 30s. The
+	// watchdog checks every StallTimeout/10, but at least 1 ms apart.
 	StallTimeout time.Duration
-	PollEvery    time.Duration
-
-	// Grace is how long a cancelled attempt gets to acknowledge the
-	// cancellation before it is abandoned (its goroutine leaked, its
-	// results discarded). Default 5s.
-	Grace time.Duration
 
 	// Build constructs shard scenarios; nil means DefaultScenario.
 	Build Builder
@@ -163,15 +157,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 30 * time.Second
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = cfg.StallTimeout / 10
-		if cfg.PollEvery < time.Millisecond {
-			cfg.PollEvery = time.Millisecond
-		}
-	}
-	if cfg.Grace <= 0 {
-		cfg.Grace = 5 * time.Second
 	}
 	if cfg.Build == nil {
 		cfg.Build = DefaultScenario
@@ -280,6 +265,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// cancelGrace is how long a cancelled attempt gets to acknowledge the
+// cancellation before it is abandoned (its goroutine leaked, its results
+// discarded).
+const cancelGrace = 5 * time.Second
+
 // shardCtl is the supervision channel between a worker and the attempt
 // goroutine it watches.
 type shardCtl struct {
@@ -290,7 +280,7 @@ type shardCtl struct {
 // superviseAttempt runs one attempt under the hung-shard watchdog. The
 // attempt executes in its own goroutine; the worker polls its sim-time
 // heartbeat and, once it stalls past StallTimeout, closes the cancel
-// channel, waits Grace for the attempt to acknowledge, and otherwise
+// channel, waits cancelGrace for the attempt to acknowledge, and otherwise
 // abandons the goroutine (its System is private, so nothing it still
 // touches is shared). The synthesized hang failure records the sim-time
 // progress point — a quantum boundary, deterministic for a fixed chaos
@@ -303,6 +293,7 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Chec
 	//psbox:allow-noconcurrency the attempt goroutine builds and owns its own System; only the attemptResult crosses back, via the done channel
 	go func() { done <- st.runAttempt(attempt, resume, ctl) }()
 
+	poll := max(cfg.StallTimeout/10, time.Millisecond)
 	lastHB := ctl.heartbeat.Load()
 	lastProgress := time.Now()
 	for {
@@ -312,7 +303,7 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Chec
 		case r := <-done:
 			return r
 		//psbox:allow-noconcurrency host-side poll tick; the watchdog deadline is supervision, not simulated time
-		case <-time.After(cfg.PollEvery):
+		case <-time.After(poll):
 			hb := ctl.heartbeat.Load()
 			if hb >= int64(cfg.Horizon) {
 				// The sim clock has reached the horizon: there is no more
@@ -338,7 +329,7 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Chec
 				At:      sim.Time(lastHB),
 				Msg:     fmt.Sprintf("no sim-time progress past %v; shard cancelled", sim.Time(lastHB)),
 			}}
-			//psbox:allow-noconcurrency post-cancel race: the attempt either acknowledges within Grace or is abandoned
+			//psbox:allow-noconcurrency post-cancel race: the attempt either acknowledges within cancelGrace or is abandoned
 			select {
 			//psbox:allow-noconcurrency acknowledgment path: adopt the cancelled attempt's checkpoint for the retry
 			case r := <-done:
@@ -347,7 +338,7 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Chec
 				// restarts. The hang failure still supersedes its result.
 				hung.ckpt = r.ckpt
 			//psbox:allow-noconcurrency grace deadline for a wedged attempt; after it the goroutine is abandoned
-			case <-time.After(cfg.Grace):
+			case <-time.After(cancelGrace):
 				// Wedged inside the event loop: abandon the goroutine. Its
 				// eventual send lands in the buffered channel and is never
 				// read, so none of its state is observed.

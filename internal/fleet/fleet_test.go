@@ -25,8 +25,6 @@ func testConfig(shards int) Config {
 		BackoffBase:     time.Millisecond,
 		BackoffCap:      2 * time.Millisecond,
 		StallTimeout:    150 * time.Millisecond,
-		PollEvery:       10 * time.Millisecond,
-		Grace:           2 * time.Second,
 	}
 }
 

@@ -50,7 +50,7 @@ type Outlier struct {
 
 // energyTick converts one device's battery joules into the histogram's
 // tick domain (1 tick ≡ 1 µJ).
-func energyTick(j float64) sim.Duration { return sim.Duration(int64(j*1e6 + 0.5)) }
+func energyTick(j float64) sim.Duration { return sim.Duration(int64(float64(j*1e6) + 0.5)) }
 
 // DeviceEnergyJ converts an EnergyDist quantile back to joules.
 func DeviceEnergyJ(tick sim.Duration) float64 { return float64(tick) / 1e6 }

@@ -210,7 +210,7 @@ func Summarize(sys *psbox.System, from, to sim.Time) *ShardReport {
 					name = "unknown"
 				}
 				//psbox:allow-energyaccum summing already-integrated attribution windows (share × sampled W × meter period) in fixed rail-then-window order, not raw power×dt
-				joules[name] += sh.Frac * float64(bl.W) * period
+				joules[name] += float64(sh.Frac * float64(bl.W) * period)
 			}
 		}
 	}

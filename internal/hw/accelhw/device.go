@@ -315,10 +315,7 @@ func (d *Device) InjectHang() bool {
 	}
 	c := d.running[0]
 	c.hung = true
-	if h, ok := d.completion[c]; ok {
-		d.eng.Cancel(h)
-		delete(d.completion, c)
-	}
+	d.eng.Cancel(d.completion[c])
 	d.reschedule()
 	return true
 }
@@ -349,10 +346,8 @@ func (d *Device) Reset() []*Command {
 	aborted = append(aborted, d.ring...)
 	sort.Slice(aborted, func(i, j int) bool { return aborted[i].ID < aborted[j].ID })
 	for _, c := range aborted {
-		if h, ok := d.completion[c]; ok {
-			d.eng.Cancel(h)
-			delete(d.completion, c)
-		}
+		d.eng.Cancel(d.completion[c])
+		delete(d.completion, c)
 		c.hung = false
 		c.remaining = 0
 	}
@@ -389,7 +384,7 @@ func (d *Device) advance() {
 			if c.hung {
 				continue // a wedged command retires nothing
 			}
-			c.remaining -= rate * dt
+			c.remaining -= float64(rate * dt)
 		}
 		d.busyAccum += sim.Duration(float64(now.Sub(d.lastAdv)) * float64(len(d.running)))
 	}
@@ -400,11 +395,8 @@ func (d *Device) advance() {
 func (d *Device) reschedule() {
 	rate := d.slotRate(len(d.running))
 	for _, c := range d.running {
-		if h, ok := d.completion[c]; ok {
-			d.eng.Cancel(h)
-		}
+		d.eng.Cancel(d.completion[c])
 		if c.hung {
-			delete(d.completion, c)
 			continue // never completes until a reset
 		}
 		rem := c.remaining
@@ -451,7 +443,7 @@ func (d *Device) updatePower() {
 	p := d.cfg.IdleW
 	scale := d.cfg.FreqsMHz[d.freqIdx] / d.cfg.FreqsMHz[len(d.cfg.FreqsMHz)-1]
 	for _, c := range d.running {
-		p += c.DynW * scale
+		p += float64(c.DynW * scale)
 	}
 	d.rail.Set(p)
 }

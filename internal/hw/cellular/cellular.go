@@ -177,27 +177,19 @@ func (m *Modem) setState(s RRCState) {
 	}
 }
 
-func (m *Modem) cancelTimer(h *sim.Handle) {
-	if *h != (sim.Handle{}) {
-		m.eng.Cancel(*h)
-		*h = sim.Handle{}
-	}
-}
-
 func (m *Modem) pump() {
 	if m.inflight != nil || len(m.queue) == 0 {
 		return
 	}
-	m.cancelTimer(&m.demote)
+	m.eng.Cancel(m.demote)
 	if m.state != RRCDch {
-		if m.promo != (sim.Handle{}) {
+		if m.promo.Pending() {
 			return // promotion already in progress
 		}
 		// Promotion: the radio burns DCH power during signalling but
 		// cannot carry data yet. The OS has no say in this.
 		m.rail.Set(m.cfg.DchW)
 		m.promo = m.eng.After(m.cfg.PromotionDelay, func(sim.Time) {
-			m.promo = sim.Handle{}
 			m.setState(RRCDch)
 			m.pump()
 		})
@@ -226,15 +218,13 @@ func (m *Modem) finish(p *Packet) {
 }
 
 func (m *Modem) armDemotion() {
-	m.cancelTimer(&m.demote)
+	m.eng.Cancel(m.demote)
 	m.demote = m.eng.After(m.cfg.DchTail, func(sim.Time) {
-		m.demote = sim.Handle{}
 		if m.state != RRCDch || m.inflight != nil || len(m.queue) > 0 {
 			return
 		}
 		m.setState(RRCFach)
 		m.demote = m.eng.After(m.cfg.FachTail, func(sim.Time) {
-			m.demote = sim.Handle{}
 			if m.state == RRCFach && m.inflight == nil && len(m.queue) == 0 {
 				m.setState(RRCIdle)
 			}

@@ -172,7 +172,7 @@ func (c *CPU) TopFreqIdx() int { return len(c.cfg.FreqsMHz) - 1 }
 // operating point — the "idle power" fed to power sandboxes while they are
 // scheduled out (§4.1).
 func (c *CPU) IdlePower() power.Watts {
-	return c.cfg.RailBaseW + power.Watts(c.cfg.Cores)*c.cfg.IdleCoreW
+	return c.cfg.RailBaseW + float64(power.Watts(c.cfg.Cores)*c.cfg.IdleCoreW)
 }
 
 // OnFreqChange registers a callback invoked after every operating-point
@@ -265,14 +265,11 @@ func (c *CPU) InjectDVFSStall(d sim.Duration) {
 		return
 	}
 	c.stallUntil = until
-	if c.stallArm != (sim.Handle{}) {
-		c.eng.Cancel(c.stallArm)
-	}
+	c.eng.Cancel(c.stallArm)
 	c.stallArm = c.eng.At(until, c.endStall)
 }
 
 func (c *CPU) endStall(sim.Time) {
-	c.stallArm = sim.Handle{}
 	if c.eng.Now() < c.stallUntil {
 		// An overlapping injection extended the stall after this event was
 		// armed; the extension armed its own.

@@ -169,7 +169,7 @@ func (d *Display) updatePower() {
 	p := d.cfg.BaseW
 	for _, owner := range owners {
 		r := d.regions[owner]
-		p += d.cfg.PixelW * float64(r.Pixels) * r.Luminance
+		p += float64(d.cfg.PixelW * float64(r.Pixels) * r.Luminance)
 	}
 	d.rail.Set(p)
 	for owner, r := range d.ownerRails {

@@ -119,5 +119,5 @@ func (d *DRAM) Bandwidth() float64 {
 }
 
 func (d *DRAM) update() {
-	d.rail.Set(d.cfg.BackgroundW + d.cfg.WPerGBs*d.Bandwidth())
+	d.rail.Set(d.cfg.BackgroundW + float64(d.cfg.WPerGBs*d.Bandwidth()))
 }

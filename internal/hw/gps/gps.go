@@ -138,10 +138,7 @@ func (g *GPS) Acquire(owner int) {
 	g.holders[owner]++
 	if g.users == 1 && g.state == StateOff {
 		g.setState(StateAcquiring)
-		g.lock = g.eng.After(g.cfg.ColdStartTTFF, func(sim.Time) {
-			g.lock = sim.Handle{}
-			g.setState(StateOperating)
-		})
+		g.lock = g.eng.After(g.cfg.ColdStartTTFF, func(sim.Time) { g.setState(StateOperating) })
 	}
 	g.refreshOwnerRails()
 }
@@ -158,10 +155,7 @@ func (g *GPS) Release(owner int) {
 		delete(g.holders, owner)
 	}
 	if g.users == 0 {
-		if g.lock != (sim.Handle{}) {
-			g.eng.Cancel(g.lock)
-			g.lock = sim.Handle{}
-		}
+		g.eng.Cancel(g.lock)
 		g.setState(StateOff)
 	}
 	g.refreshOwnerRails()

@@ -215,10 +215,7 @@ func (n *NIC) SetLink(up bool) {
 		n.bus.Instant(obs.CatNIC, "link-down", 0, int64(n.flaps), n.cfg.Name, n.cfg.Name)
 		n.bus.Count("nic.link_flaps", 0, n.cfg.Name, 1)
 		if p := n.inflight; p != nil {
-			if n.txArm != (sim.Handle{}) {
-				n.eng.Cancel(n.txArm)
-				n.txArm = sim.Handle{}
-			}
+			n.eng.Cancel(n.txArm)
 			n.inflight = nil
 			n.setMode(ModeTail)
 			n.armTail(n.cfg.TailTimeout)
@@ -258,7 +255,7 @@ func (n *NIC) Transmit(p *Packet) {
 	if n.linkDown {
 		panic(fmt.Sprintf("nic %s: transmit with link down", n.cfg.Name))
 	}
-	n.disarmTail()
+	n.eng.Cancel(n.tailArm)
 	n.inflight = p
 	p.Dispatched = n.eng.Now()
 	n.setMode(ModeActive)
@@ -266,7 +263,6 @@ func (n *NIC) Transmit(p *Packet) {
 }
 
 func (n *NIC) finish(p *Packet) {
-	n.txArm = sim.Handle{}
 	p.Completed = n.eng.Now()
 	n.inflight = nil
 	n.setMode(ModeTail)
@@ -277,23 +273,13 @@ func (n *NIC) finish(p *Packet) {
 }
 
 func (n *NIC) armTail(after sim.Duration) {
-	n.disarmTail()
+	n.eng.Cancel(n.tailArm)
 	if after <= 0 {
 		n.setMode(ModePSM)
 		return
 	}
 	n.tailAt = n.eng.Now().Add(after)
-	n.tailArm = n.eng.After(after, func(sim.Time) {
-		n.tailArm = sim.Handle{}
-		n.setMode(ModePSM)
-	})
-}
-
-func (n *NIC) disarmTail() {
-	if n.tailArm != (sim.Handle{}) {
-		n.eng.Cancel(n.tailArm)
-		n.tailArm = sim.Handle{}
-	}
+	n.tailArm = n.eng.After(after, func(sim.Time) { n.setMode(ModePSM) })
 }
 
 func (n *NIC) setMode(m Mode) {
@@ -357,7 +343,7 @@ func (n *NIC) Restore(s State) {
 		panic(fmt.Sprintf("nic %s: restore tx level %d out of range", n.cfg.Name, s.TxLevel))
 	}
 	n.txLevel = s.TxLevel
-	n.disarmTail()
+	n.eng.Cancel(n.tailArm)
 	switch s.Mode {
 	case ModeTail:
 		n.setMode(ModeTail)

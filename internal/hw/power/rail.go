@@ -145,7 +145,7 @@ func (r *Rail) integrate(i int, a, b sim.Time) (Joules, int) {
 			segStart = a
 		}
 		if segEnd > segStart {
-			e += r.segs[i].w * segEnd.Sub(segStart).Seconds()
+			e += float64(r.segs[i].w * segEnd.Sub(segStart).Seconds())
 		}
 		if segEnd == b {
 			break

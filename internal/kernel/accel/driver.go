@@ -321,10 +321,10 @@ func (d *Driver) settleBalloonBill() {
 			n = width - d.dev.Executing()
 		}
 		if n > 0 {
-			d.activeBox.Credit += float64(n) * dt
+			d.activeBox.Credit += float64(float64(n) * dt)
 		}
 	case PhaseServe, PhaseDrainBox:
-		d.activeBox.Credit += float64(width) * dt
+		d.activeBox.Credit += float64(float64(width) * dt)
 	}
 }
 
@@ -395,11 +395,10 @@ func (d *Driver) pumpNone() {
 // armGrace schedules the starvation backstop: if nobody else has produced
 // demand by then, the waiting sandbox gets the device regardless of credit.
 func (d *Driver) armGrace() {
-	if d.graceArm != (sim.Handle{}) {
+	if d.graceArm.Pending() {
 		return
 	}
 	d.graceArm = d.eng.After(graceDelay, func(sim.Time) {
-		d.graceArm = sim.Handle{}
 		if d.phase != PhaseNone {
 			return
 		}

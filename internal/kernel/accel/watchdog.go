@@ -103,7 +103,7 @@ func (d *Driver) oldestExec() (sim.Time, bool) {
 }
 
 func (d *Driver) armWatchdog() {
-	if d.wd == nil || d.wdArm != (sim.Handle{}) {
+	if d.wd == nil || d.wdArm.Pending() {
 		return
 	}
 	oldest, ok := d.oldestExec()
@@ -114,7 +114,6 @@ func (d *Driver) armWatchdog() {
 }
 
 func (d *Driver) watchdogTick(now sim.Time) {
-	d.wdArm = sim.Handle{}
 	if d.wd == nil {
 		return
 	}

@@ -54,12 +54,9 @@ func (k *Kernel) stopTaskCB(core int, t *Task) {
 		panic(fmt.Sprintf("kernel: core %d stop for %s but running %v", core, t.Name, k.running[core]))
 	}
 	now := k.eng.Now()
-	if t.compArm != (sim.Handle{}) {
-		k.eng.Cancel(t.compArm)
-		t.compArm = sim.Handle{}
-	}
+	k.eng.Cancel(t.compArm)
 	elapsed := now.Sub(t.runStart).Seconds()
-	t.remaining -= elapsed * t.runRate
+	t.remaining -= float64(elapsed * t.runRate)
 	if t.remaining < 0 {
 		t.remaining = 0
 	}
@@ -80,18 +77,15 @@ func (k *Kernel) onCoreIdle(core int) {
 
 // armCompletion schedules the end of the task's current compute burst.
 func (k *Kernel) armCompletion(t *Task) {
-	if t.compArm != (sim.Handle{}) {
-		k.eng.Cancel(t.compArm)
-	}
+	k.eng.Cancel(t.compArm)
 	durNs := int64(t.remaining / t.runRate * 1e9)
 	if durNs < 1 {
 		durNs = 1
 	}
 	tt := t
 	t.compArm = k.eng.After(sim.Duration(durNs), func(sim.Time) {
-		tt.compArm = sim.Handle{}
 		now := k.eng.Now()
-		tt.remaining -= now.Sub(tt.runStart).Seconds() * tt.runRate
+		tt.remaining -= float64(now.Sub(tt.runStart).Seconds() * tt.runRate)
 		if tt.remaining < 1e-3 {
 			tt.remaining = 0
 		}
@@ -117,7 +111,7 @@ func (k *Kernel) onFreqChange(oldIdx, newIdx int) {
 			continue
 		}
 		elapsed := now.Sub(t.runStart).Seconds()
-		t.remaining -= elapsed * t.runRate
+		t.remaining -= float64(elapsed * t.runRate)
 		if t.remaining < 0 {
 			t.remaining = 0
 		}
@@ -126,7 +120,7 @@ func (k *Kernel) onFreqChange(oldIdx, newIdx int) {
 		}
 		t.runStart = now
 		t.runRate = k.cpu.CyclesPerSecond()
-		if t.compArm != (sim.Handle{}) {
+		if t.compArm.Pending() {
 			k.armCompletion(t)
 		}
 	}
@@ -211,7 +205,6 @@ func (k *Kernel) advance(t *Task) {
 			k.sch.Block(t.st)
 			tt := t
 			t.sleepArm = k.eng.After(a.D, func(sim.Time) {
-				tt.sleepArm = sim.Handle{}
 				if !tt.dead {
 					tt.app.demandDelta(+1)
 					k.sch.Wake(tt.st)
@@ -273,10 +266,7 @@ func (k *Kernel) Kill(t *Task) {
 		return
 	}
 	t.dead = true
-	if t.sleepArm != (sim.Handle{}) {
-		k.eng.Cancel(t.sleepArm)
-		t.sleepArm = sim.Handle{}
-	}
+	k.eng.Cancel(t.sleepArm)
 	if t.st.State() == sched.StateRunnable || t.st.State() == sched.StateRunning {
 		t.app.demandDelta(-1)
 	}

@@ -318,10 +318,7 @@ func (d *Driver) vnicActive(a *appState) {
 	if a.vrail == nil {
 		return
 	}
-	if a.vtailArm != (sim.Handle{}) {
-		d.eng.Cancel(a.vtailArm)
-		a.vtailArm = sim.Handle{}
-	}
+	d.eng.Cancel(a.vtailArm)
 	a.vrail.Set(d.n.Config().ActiveW[a.state.TxLevel])
 }
 
@@ -333,10 +330,7 @@ func (d *Driver) vnicTail(a *appState) {
 	}
 	cfg := d.n.Config()
 	a.vrail.Set(cfg.TailW)
-	a.vtailArm = d.eng.After(cfg.TailTimeout, func(sim.Time) {
-		a.vtailArm = sim.Handle{}
-		a.vrail.Set(cfg.PSMW)
-	})
+	a.vtailArm = d.eng.After(cfg.TailTimeout, func(sim.Time) { a.vrail.Set(cfg.PSMW) })
 }
 
 // BoxEnter encloses an app's NIC usage in temporal balloons and gives it a
@@ -368,10 +362,7 @@ func (d *Driver) BoxLeave(appID int) {
 	switch d.phase {
 	case PhaseDrain:
 		// Balloon never opened; just cancel the reservation.
-		if d.settleArm != (sim.Handle{}) {
-			d.eng.Cancel(d.settleArm)
-			d.settleArm = sim.Handle{}
-		}
+		d.eng.Cancel(d.settleArm)
 		d.setPhase(PhaseNone)
 		d.activeBox = nil
 		d.pump()
@@ -495,7 +486,7 @@ func (d *Driver) settleLostOpportunity() {
 		return
 	}
 	span := d.eng.Now().Sub(d.balloonAt).Seconds()
-	d.activeBox.Credit += span * d.n.Config().LinkBytesPerSec
+	d.activeBox.Credit += float64(span * d.n.Config().LinkBytesPerSec)
 }
 
 // pump advances the scheduling state machine.
@@ -514,11 +505,10 @@ func (d *Driver) pump() {
 // armSettle schedules the end of the drain phase: the medium must stay
 // quiet for drainSettle before the balloon opens.
 func (d *Driver) armSettle() {
-	if d.n.Busy() || d.settleArm != (sim.Handle{}) {
+	if d.n.Busy() || d.settleArm.Pending() {
 		return
 	}
 	d.settleArm = d.eng.After(drainSettle, func(sim.Time) {
-		d.settleArm = sim.Handle{}
 		if d.phase == PhaseDrain && !d.n.Busy() {
 			d.beginServe()
 		}
@@ -554,11 +544,10 @@ func (d *Driver) pumpNone() {
 
 // armGrace schedules the starvation backstop for a waiting sandbox.
 func (d *Driver) armGrace() {
-	if d.graceArm != (sim.Handle{}) {
+	if d.graceArm.Pending() {
 		return
 	}
 	d.graceArm = d.eng.After(graceDelay, func(sim.Time) {
-		d.graceArm = sim.Handle{}
 		if d.phase != PhaseNone {
 			return
 		}

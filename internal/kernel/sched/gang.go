@@ -61,18 +61,12 @@ func (s *Scheduler) DeactivateGang(appID int) {
 		return
 	}
 	g.gang = false
-	if g.gangTimer != (sim.Handle{}) {
-		s.eng.Cancel(g.gangTimer)
-		g.gangTimer = sim.Handle{}
-	}
+	s.eng.Cancel(g.gangTimer)
 	s.DeactivateGroup(appID)
 }
 
 func (s *Scheduler) scheduleGangWindow(g *Group) {
-	g.gangTimer = s.eng.After(g.gangCfg.Period-g.gangCfg.Slot, func(sim.Time) {
-		g.gangTimer = sim.Handle{}
-		s.openGangWindow(g)
-	})
+	g.gangTimer = s.eng.After(g.gangCfg.Period-g.gangCfg.Slot, func(sim.Time) { s.openGangWindow(g) })
 }
 
 func (s *Scheduler) openGangWindow(g *Group) {
@@ -82,10 +76,7 @@ func (s *Scheduler) openGangWindow(g *Group) {
 	if s.resident != nil {
 		// Another balloon holds the machine; retry shortly. Gangs are
 		// mutually excluded, as are gang and loan windows.
-		g.gangTimer = s.eng.After(tickPeriod, func(sim.Time) {
-			g.gangTimer = sim.Handle{}
-			s.openGangWindow(g)
-		})
+		g.gangTimer = s.eng.After(tickPeriod, func(sim.Time) { s.openGangWindow(g) })
 		return
 	}
 	// Force-open from core 0: unlike demand windows, the reservation opens

@@ -236,7 +236,6 @@ func (s *Scheduler) initialLoan(ge *groupEntity) sim.Duration {
 
 // remoteScheduleIn is the IPI handler on a shot-down core (§4.2 step 2).
 func (s *Scheduler) remoteScheduleIn(g *Group, core int) {
-	g.pendingIPI[core] = sim.Handle{}
 	if !g.resident {
 		return // window ended before the IPI landed
 	}
@@ -441,11 +440,8 @@ func (s *Scheduler) endCosched(g *Group) {
 		ge.want = false
 	}
 	g.loanSettled += total
-	for c, h := range g.pendingIPI {
-		if h != (sim.Handle{}) {
-			s.eng.Cancel(h)
-			g.pendingIPI[c] = sim.Handle{}
-		}
+	for _, h := range g.pendingIPI {
+		s.eng.Cancel(h)
 	}
 	g.resident = false
 	s.resident = nil

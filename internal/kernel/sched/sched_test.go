@@ -72,7 +72,6 @@ func (h *harness) runTask(core int, t *Task) {
 	}
 	tt := t
 	b.blockArm = h.eng.After(b.remaining, func(sim.Time) {
-		b.blockArm = sim.Handle{}
 		b.remaining = 0
 		h.s.Block(tt)
 		h.eng.After(b.sleep, func(sim.Time) { h.s.Wake(tt) })
@@ -89,9 +88,7 @@ func (h *harness) stopTask(core int, t *Task) {
 	if b == nil || b.burst == 0 {
 		return
 	}
-	if b.blockArm != (sim.Handle{}) {
-		h.eng.Cancel(b.blockArm)
-		b.blockArm = sim.Handle{}
+	if h.eng.Cancel(b.blockArm) {
 		b.remaining -= h.eng.Now().Sub(b.runSince)
 		if b.remaining < 0 {
 			b.remaining = 0

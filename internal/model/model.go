@@ -59,9 +59,9 @@ func Fit(names []string, data []Sample) (*Linear, error) {
 		copy(row[1:], s.Features)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				ata[i][j] += row[i] * row[j]
+				ata[i][j] += float64(row[i] * row[j])
 			}
-			ata[i][n] += row[i] * s.Watts
+			ata[i][n] += float64(row[i] * s.Watts)
 		}
 	}
 	beta, err := solve(ata)
@@ -93,7 +93,7 @@ func solve(a [][]float64) ([]float64, error) {
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / a[col][col]
 			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func solve(a [][]float64) ([]float64, error) {
 	for r := n - 1; r >= 0; r-- {
 		sum := a[r][n]
 		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
+			sum -= float64(a[r][c] * x[c])
 		}
 		x[r] = sum / a[r][r]
 	}
@@ -116,7 +116,7 @@ func (m *Linear) Predict(features []float64) float64 {
 	}
 	w := m.Intercept
 	for i, f := range features {
-		w += m.Coef[i] * f
+		w += float64(m.Coef[i] * f)
 	}
 	return w
 }
@@ -163,8 +163,8 @@ func (m *Linear) R2(data []Sample) float64 {
 	var ssRes, ssTot float64
 	for _, s := range data {
 		d := s.Watts - m.Predict(s.Features)
-		ssRes += d * d
-		ssTot += (s.Watts - mean) * (s.Watts - mean)
+		ssRes += float64(d * d)
+		ssTot += float64((s.Watts - mean) * (s.Watts - mean))
 	}
 	if ssTot == 0 {
 		return 0

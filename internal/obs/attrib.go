@@ -62,7 +62,7 @@ func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval
 		activeFrac := float64(covered) / float64(period)
 		shares := make([]Share, 1, 1+len(uses))
 		for _, u := range uses {
-			frac := float64(u.Occ) / float64(total) * activeFrac
+			frac := float64(float64(u.Occ) / float64(total) * activeFrac)
 			if u.Owner == 0 {
 				idle += frac
 				continue

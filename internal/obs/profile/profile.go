@@ -183,10 +183,10 @@ func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Dura
 		activeFrac := float64(covered) / float64(period)
 		for _, u := range uses {
 			frac := float64(u.Occ) / float64(total) * activeFrac
-			p.weights[keys[u.Owner]] += frac * joules
+			p.weights[keys[u.Owner]] += float64(frac * joules)
 		}
 		if idle := float64(period-covered) / float64(period); idle > 0 {
-			p.weights[idleKey] += idle * joules
+			p.weights[idleKey] += float64(idle * joules)
 		}
 	}
 }
@@ -248,7 +248,7 @@ func MergeEntries(lists ...[]Entry) []Entry {
 // one-sample frames.
 func WriteFolded(w io.Writer, entries []Entry) error {
 	for _, e := range entries {
-		uj := int64(e.J*1e6 + 0.5)
+		uj := int64(float64(e.J*1e6) + 0.5)
 		if uj <= 0 {
 			continue
 		}

@@ -460,15 +460,10 @@ func (m *Manager) throttle(s *Session) {
 func (m *Manager) pulseGate(s *Session) {
 	sch := m.k.Scheduler()
 	sch.SetAppGate(s.app.ID, true)
-	if s.gateArm != (sim.Handle{}) {
-		m.eng.Cancel(s.gateArm)
-	}
+	m.eng.Cancel(s.gateArm)
 	openFor := sim.Duration(float64(m.cfg.Window) * m.cfg.ThrottleDuty)
 	appID := s.app.ID
-	s.gateArm = m.eng.After(openFor, func(sim.Time) {
-		s.gateArm = sim.Handle{}
-		sch.SetAppGate(appID, false)
-	})
+	s.gateArm = m.eng.After(openFor, func(sim.Time) { sch.SetAppGate(appID, false) })
 }
 
 // unthrottle returns a reformed session to full speed.
@@ -476,10 +471,7 @@ func (m *Manager) unthrottle(s *Session) {
 	m.bus.Span(obs.CatSession, "throttle", s.app.ID, 0, "", s.spec.Name, s.spanStart)
 	s.state = StateRunning
 	s.spanStart = m.eng.Now()
-	if s.gateArm != (sim.Handle{}) {
-		m.eng.Cancel(s.gateArm)
-		s.gateArm = sim.Handle{}
-	}
+	m.eng.Cancel(s.gateArm)
 	m.k.Scheduler().SetAppGate(s.app.ID, true)
 }
 
@@ -493,10 +485,7 @@ func (m *Manager) kill(s *Session, reason string) {
 		span = "throttle"
 	}
 	m.bus.Span(obs.CatSession, span, s.app.ID, 0, "", s.spec.Name, s.spanStart)
-	if s.gateArm != (sim.Handle{}) {
-		m.eng.Cancel(s.gateArm)
-		s.gateArm = sim.Handle{}
-	}
+	m.eng.Cancel(s.gateArm)
 	if s.spec.PreserveData {
 		s.preserved = s.app.Counters()
 	}
@@ -525,10 +514,7 @@ func (m *Manager) kill(s *Session, reason string) {
 		return
 	}
 	backoff := sim.Backoff(len(s.failures), m.cfg.BackoffBase, m.cfg.BackoffCap)
-	s.restartArm = m.eng.After(backoff, func(sim.Time) {
-		s.restartArm = sim.Handle{}
-		m.restart(s)
-	})
+	s.restartArm = m.eng.After(backoff, func(sim.Time) { m.restart(s) })
 }
 
 // restart brings up the next incarnation.
@@ -559,10 +545,7 @@ func (m *Manager) retire(s *Session) {
 		span = "throttle"
 	}
 	m.bus.Span(obs.CatSession, span, s.app.ID, 0, "", s.spec.Name, s.spanStart)
-	if s.gateArm != (sim.Handle{}) {
-		m.eng.Cancel(s.gateArm)
-		s.gateArm = sim.Handle{}
-	}
+	m.eng.Cancel(s.gateArm)
 	m.k.Scheduler().SetAppGate(s.app.ID, true)
 	s.box.Leave()
 	s.state = StateRetired

@@ -193,7 +193,7 @@ func (r Result) LeakageBits() float64 {
 			pxy := float64(v) / total
 			px := rowSum[i] / total
 			py := colSum[j] / total
-			mi += pxy * math.Log2(pxy/(px*py))
+			mi += float64(pxy * math.Log2(pxy/(px*py)))
 		}
 	}
 	if mi < 0 {
@@ -293,7 +293,7 @@ func bucketize(sys *psbox.System, from, span sim.Duration, bucket sim.Duration,
 func energyOfSamples(samples []psbox.Sample, period sim.Duration) float64 {
 	var e float64
 	for _, s := range samples {
-		e += s.W * period.Seconds()
+		e += float64(s.W * period.Seconds())
 	}
 	return e
 }

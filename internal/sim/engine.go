@@ -9,10 +9,15 @@ import (
 type Event func(now Time)
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
-// Handle is invalid.
+// Handle names no event.
 type Handle struct {
-	seq uint64
+	it *item
 }
+
+// Pending reports whether the handle's event is still queued. It is false
+// once the event fired (including while its own callback runs), after
+// Cancel, and for the zero Handle.
+func (h Handle) Pending() bool { return h.it != nil && h.it.index >= 0 }
 
 type item struct {
 	at    Time
@@ -60,8 +65,6 @@ type Engine struct {
 	now     Time
 	nextSeq uint64
 	queue   eventQueue
-	//psbox:allow-snapshotstate cancellation index over queue; same content, rebuilt by replay
-	byName map[uint64]*item
 	//psbox:allow-snapshotstate transient re-entrancy guard; true whenever a checkpoint event could observe it
 	running bool
 	fired   uint64
@@ -88,9 +91,7 @@ func (e *Engine) SetFiredProbe(stride uint64, fn func(now Time, fired uint64)) {
 }
 
 // NewEngine returns an engine positioned at time zero.
-func NewEngine() *Engine {
-	return &Engine{byName: make(map[uint64]*item)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -108,8 +109,7 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	e.nextSeq++
 	it := &item{at: t, seq: e.nextSeq, fn: fn}
 	heap.Push(&e.queue, it)
-	e.byName[it.seq] = it
-	return Handle{seq: it.seq}
+	return Handle{it}
 }
 
 // After schedules fn to run d from now.
@@ -123,14 +123,11 @@ func (e *Engine) After(d Duration, fn Event) Handle {
 // Cancel revokes a scheduled event. It reports whether the event was still
 // pending (false if it already fired, was cancelled, or the handle is zero).
 func (e *Engine) Cancel(h Handle) bool {
-	it, ok := e.byName[h.seq]
-	if !ok {
+	if !h.Pending() {
 		return false
 	}
-	delete(e.byName, h.seq)
-	if it.index >= 0 {
-		heap.Remove(&e.queue, it.index)
-	}
+	heap.Remove(&e.queue, h.it.index)
+	h.it.fn = nil
 	return true
 }
 
@@ -152,7 +149,6 @@ func (e *Engine) Run(until Time) {
 			break
 		}
 		heap.Pop(&e.queue)
-		delete(e.byName, next.seq)
 		if next.at < e.now {
 			panic("sim: event queue time went backwards")
 		}
@@ -161,7 +157,9 @@ func (e *Engine) Run(until Time) {
 		if e.probe != nil && e.fired%e.probeStride == 0 {
 			e.probe(e.now, e.fired)
 		}
-		next.fn(e.now)
+		fn := next.fn
+		next.fn = nil // a stale handle keeps the item, not the closure
+		fn(e.now)
 	}
 	if until > e.now {
 		e.now = until
@@ -170,35 +168,6 @@ func (e *Engine) Run(until Time) {
 
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Duration) { e.Run(e.now.Add(d)) }
-
-// Drain runs until the event queue is empty or maxEvents have fired.
-// It reports whether the queue fully drained. Models with self-rearming
-// timers never drain; callers should prefer Run with a horizon.
-func (e *Engine) Drain(maxEvents uint64) bool {
-	if e.running {
-		panic("sim: Engine.Drain re-entered from inside an event")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	start := e.fired
-	for len(e.queue) > 0 {
-		if e.fired-start >= maxEvents {
-			return false
-		}
-		next := heap.Pop(&e.queue).(*item)
-		delete(e.byName, next.seq)
-		if next.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = next.at
-		e.fired++
-		if e.probe != nil && e.fired%e.probeStride == 0 {
-			e.probe(e.now, e.fired)
-		}
-		next.fn(e.now)
-	}
-	return true
-}
 
 // Every schedules fn at a fixed period, starting one period from now. The
 // returned stop function cancels future firings; it is safe to call from

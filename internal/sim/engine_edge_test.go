@@ -5,25 +5,22 @@ import (
 	"testing"
 )
 
-// TestDrainMonotonicityPanic is the regression test for Drain silently
-// accepting an event stamped before the current clock — Run has always
-// panicked on that corruption; Drain must too.
-func TestDrainMonotonicityPanic(t *testing.T) {
+// TestRunMonotonicityPanic checks that Run refuses an event stamped before
+// the current clock instead of silently rewinding time.
+func TestRunMonotonicityPanic(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func(Time) {})
 	e.Run(20) // now = 20
 	// Corrupt the queue the only way possible: bypass At's past-check and
 	// push a stale item directly, as a buggy model mutating internals would.
 	e.nextSeq++
-	it := &item{at: 5, seq: e.nextSeq, fn: func(Time) {}}
-	heap.Push(&e.queue, it)
-	e.byName[it.seq] = it
+	heap.Push(&e.queue, &item{at: 5, seq: e.nextSeq, fn: func(Time) {}})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Drain executed an event from the past without panicking")
+			t.Fatal("Run executed an event from the past without panicking")
 		}
 	}()
-	e.Drain(10)
+	e.Run(30)
 }
 
 func TestEngineCancelFromInsideEvent(t *testing.T) {

@@ -115,6 +115,44 @@ func TestEngineCancelAfterFire(t *testing.T) {
 	}
 }
 
+// TestHandlePending pins the handle contract: a handle is pending from At
+// or After until its event fires or is cancelled, Seq is the sequence
+// number only while pending, and Cancel of anything not pending is a
+// no-op that reports false.
+func TestHandlePending(t *testing.T) {
+	e := NewEngine()
+	var zero Handle
+	if zero.Pending() || zero.Seq() != 0 {
+		t.Fatal("zero Handle reports a pending event")
+	}
+	var self Handle
+	self = e.At(10, func(Time) {
+		if self.Pending() || self.Seq() != 0 {
+			t.Error("handle still pending inside its own callback")
+		}
+	})
+	later := e.After(20, func(Time) { t.Error("cancelled event fired") })
+	if !self.Pending() || self.Seq() != 1 || !later.Pending() || later.Seq() != 2 {
+		t.Fatalf("fresh handles: Pending %v/%v, Seq %d/%d", self.Pending(), later.Pending(), self.Seq(), later.Seq())
+	}
+	if !e.Cancel(later) {
+		t.Fatal("Cancel of a pending event reported false")
+	}
+	if later.Pending() || later.Seq() != 0 {
+		t.Fatal("cancelled handle still pending")
+	}
+	e.Run(100)
+	if self.Pending() || self.Seq() != 0 {
+		t.Fatal("fired handle still pending")
+	}
+	e.After(5, func(Time) {})
+	for _, h := range []Handle{self, later, zero} {
+		if e.Cancel(h) || e.Pending() != 1 {
+			t.Fatalf("Cancel of a non-pending handle: Pending() = %d", e.Pending())
+		}
+	}
+}
+
 func TestEngineEventSchedulesEvent(t *testing.T) {
 	e := NewEngine()
 	var at Time
@@ -148,33 +186,6 @@ func TestEngineRunReentryPanics(t *testing.T) {
 	e.Run(10)
 	if !recovered {
 		t.Fatal("re-entrant Run should panic")
-	}
-}
-
-func TestEngineDrain(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	var rearm func(Time)
-	rearm = func(Time) {
-		n++
-		if n < 5 {
-			e.After(1, rearm)
-		}
-	}
-	e.After(1, rearm)
-	if !e.Drain(100) {
-		t.Fatal("finite chain should drain")
-	}
-	if n != 5 {
-		t.Fatalf("n = %d", n)
-	}
-
-	// A self-rearming timer must hit the budget, not loop forever.
-	var forever func(Time)
-	forever = func(Time) { e.After(1, forever) }
-	e.After(1, forever)
-	if e.Drain(50) {
-		t.Fatal("unbounded chain reported drained")
 	}
 }
 

@@ -42,7 +42,7 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // Float64 returns a value uniform on [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Jitter returns base scaled by a factor uniform on [1−frac, 1+frac].
@@ -51,7 +51,7 @@ func (r *Rand) Jitter(base int64, frac float64) int64 {
 	if frac <= 0 {
 		return base
 	}
-	f := 1 + frac*(2*r.Float64()-1)
+	f := 1 + float64(frac*(float64(2*r.Float64())-1))
 	v := int64(float64(base) * f)
 	if v < 1 {
 		v = 1
@@ -71,7 +71,7 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	for i := 0; i < 12; i++ {
 		s += r.Float64()
 	}
-	return mean + stddev*(s-6)
+	return mean + float64(stddev*(s-6))
 }
 
 // Fork derives an independent generator. Streams of a generator and its

@@ -6,11 +6,17 @@ import (
 	"psbox/internal/snapshot"
 )
 
-// Seq exposes the handle's event sequence number. Sequence numbers are
+// Seq returns the pending event's sequence number, and 0 once the event
+// fired or was cancelled, or for the zero Handle. Sequence numbers are
 // allocated deterministically (one per At call), so they are stable across
 // replays and safe to include in checkpoint encodings; other packages use
 // Seq to encode their armed timers.
-func (h Handle) Seq() uint64 { return h.seq }
+func (h Handle) Seq() uint64 {
+	if !h.Pending() {
+		return 0
+	}
+	return h.it.seq
+}
 
 // Snapshot encodes the generator's stream position.
 func (r *Rand) Snapshot(enc *snapshot.Encoder) { enc.U64(r.state) }

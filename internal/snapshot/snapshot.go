@@ -242,16 +242,18 @@ func Parse(data []byte) ([]Section, error) {
 	if v := d.u16(); v != Version {
 		return nil, fmt.Errorf("snapshot: format version %d, this build reads version %d", v, Version)
 	}
-	n := int(d.u32())
+	n := d.u32()
 	// Every section costs at least 8 framing bytes (the label and payload
 	// length prefixes), which bounds how many the remaining body can hold.
 	// Checking before the preallocation keeps a hostile count field from
-	// sizing an allocation the data could never fill.
-	if maxSecs := d.remaining() / 8; n > maxSecs {
+	// sizing an allocation the data could never fill. The count stays a
+	// uint32: on 32-bit platforms int(n) turns a count past 2³¹−1
+	// negative, which would pass the bound and panic in make.
+	if maxSecs := d.remaining() / 8; int64(n) > int64(maxSecs) {
 		return nil, fmt.Errorf("snapshot: section count %d exceeds what %d remaining bytes can frame", n, d.remaining())
 	}
 	secs := make([]Section, 0, n)
-	for i := 0; i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		label := d.str()
 		payload := d.blob()
 		if d.err != nil {

@@ -98,7 +98,7 @@ func (v *VR) Spec(cores int) AppSpec {
 				if v.contours > 8 {
 					v.contours = 8
 				}
-				cycles := 3e6 + float64(v.contours)*1.1e6
+				cycles := 3e6 + float64(float64(v.contours)*1.1e6)
 				return kernel.Compute{Cycles: float64(env.Rand.Jitter(int64(cycles), 0.1))}
 			}
 			env.Count("gesture_frames", 1)
