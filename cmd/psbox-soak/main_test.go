@@ -5,11 +5,42 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"psbox/internal/soak"
 )
+
+// TestTranscriptMatchesGolden regenerates both seeded transcripts
+// in-process and byte-compares them with the goldens under testdata/ at
+// the module root. Each transcript opens with the uninterrupted run's
+// report (fault log, recovery counters, box observations, battery energy,
+// trace hashes), so the fault scenario itself is held to a golden, not
+// only its crash-and-resume replays.
+func TestTranscriptMatchesGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		ms   int64
+	}{{7, 1000}, {42, 2000}} {
+		golden := fmt.Sprintf("psbox-soak-seed%d-ms%d.golden", c.seed, c.ms)
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", golden))
+		if err != nil {
+			t.Fatalf("golden missing (regenerate with `go run ./cmd/psbox-soak -seed %d -ms %d > testdata/%s`): %v",
+				c.seed, c.ms, golden, err)
+		}
+		got, code := transcript(c.seed, c.ms)
+		if code != soak.ExitOK {
+			t.Errorf("seed=%d ms=%d: exit code %d, want %d", c.seed, c.ms, code, soak.ExitOK)
+		}
+		if got != string(want) {
+			t.Errorf("seed=%d ms=%d: transcript diverged from %s:\n%s", c.seed, c.ms, golden,
+				soak.DiffLines(string(want), got))
+		}
+	}
+}
 
 // TestExitCodes tables the exit statuses psbox-soak adds around the
 // protocol: a clean soak, the hung-run watchdog, and usage errors. The

@@ -8,7 +8,7 @@ import (
 	"psbox/internal/faults"
 )
 
-// faultScenario is a compressed psbox-faults run: a GPU pipeline and an
+// faultScenario is a compressed form of soak.Scenario: a GPU pipeline and an
 // uplink streamer in sandboxes, one fixed fault of each kind, and a seeded
 // random campaign. It returns a full textual trace of everything a fault
 // could perturb.

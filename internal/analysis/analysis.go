@@ -112,16 +112,6 @@ func NewProgram(pkgs []*Package) *Program {
 	return &Program{Pkgs: pkgs, facts: make(map[string]any)}
 }
 
-// Package returns the loaded package with the given import path, or nil.
-func (p *Program) Package(path string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // CallGraph builds (once) and returns the program's call graph.
 func (p *Program) CallGraph() *callgraph.Graph {
 	if p.cg == nil {

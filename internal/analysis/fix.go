@@ -36,11 +36,6 @@ func (p *Pass) edit(from, to token.Pos, text string) TextEdit {
 	return TextEdit{File: start.Filename, Start: start.Offset, End: end.Offset, New: text}
 }
 
-// insert builds a pure insertion at pos.
-func (p *Pass) insert(pos token.Pos, text string) TextEdit {
-	return p.edit(pos, pos, text)
-}
-
 // sourceFile returns the raw bytes of a file of the analyzed program,
 // memoized program-wide. Fix builders use it to replicate indentation and
 // splice original statement text; a read failure degrades to "no fix",

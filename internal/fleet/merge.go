@@ -19,7 +19,7 @@ type Merged struct {
 	BatteryJ    float64
 	Blame       []AppBlame // summed over completed shards, sorted by name
 	Boxes       []MergedBox
-	Degraded    int
+	Degraded    uint64 // profile windows overlapping meter dropouts
 	Faults      int
 	Audits      uint64
 	TraceEvents uint64
@@ -50,7 +50,7 @@ func (r *Result) Merge() *Merged {
 		m.Completed++
 		rep := sh.Report
 		m.BatteryJ += rep.BatteryJ
-		m.Degraded += rep.Degraded
+		m.Degraded += rep.ProfileDegraded
 		m.Faults += rep.Faults
 		m.Audits += rep.Audits
 		m.TraceEvents += rep.TraceEvents

@@ -139,8 +139,7 @@ type AppBlame struct {
 type ShardReport struct {
 	BatteryJ    float64
 	Boxes       []BoxRead  // sorted by app name
-	Blame       []AppBlame // sorted by principal name
-	Degraded    int        // attribution windows overlapping meter dropouts
+	Blame       []AppBlame // the profile summed by principal, sorted by name
 	Faults      int        // injected faults that fired
 	Audits      uint64     // periodic invariant audits
 	TraceEvents uint64     // total events emitted on the obs bus
@@ -150,26 +149,27 @@ type ShardReport struct {
 	Metrics *obs.MetricsDump
 
 	// Profile is the shard's folded energy tree in canonical order, with
-	// its window accounting; empty when the scenario never enabled
-	// profiling.
+	// its window accounting: ProfileDegraded counts the folded windows
+	// that overlap a meter dropout.
 	Profile         []profile.Entry
 	ProfileWindows  uint64
 	ProfileDegraded uint64
 }
 
 // Summarize renders a finished system into its shard report: sandbox
-// reads, the battery rail's energy, and the power-attribution rollup
-// (per-principal joules from the obs blame timeline) over [from, to).
-func Summarize(sys *psbox.System, from, to sim.Time) *ShardReport {
+// reads, the battery rail's energy, and the power-attribution rollup over
+// the whole run. The rollup is the energy profile, folded through now, and
+// its sum by principal.
+func Summarize(sys *psbox.System) *ShardReport {
 	rep := &ShardReport{
-		BatteryJ:    float64(sys.Meter.Energy("battery", from, to)),
+		BatteryJ:    float64(sys.Meter.Energy("battery", 0, sys.Now())),
 		Faults:      len(sys.Faults.Log()),
 		Audits:      sys.Audits(),
 		TraceEvents: sys.Trace.Total(),
 		Metrics:     sys.Trace.DumpMetrics(),
 	}
 	// Fold whatever the profiler hasn't seen yet, then capture the tree.
-	// FoldProfile is a no-op for scenarios that never enabled profiling.
+	// A scenario that never enabled profiling leaves it, and Blame, empty.
 	sys.FoldProfile()
 	rep.Profile = sys.Profile.Entries()
 	rep.ProfileWindows = sys.Profile.Windows()
@@ -186,33 +186,16 @@ func Summarize(sys *psbox.System, from, to sim.Time) *ShardReport {
 	}
 	sort.Slice(rep.Boxes, func(i, j int) bool { return rep.Boxes[i].App < rep.Boxes[j].App })
 
-	names := map[int]string{0: "kernel"}
-	for _, a := range sys.Kernel.Apps() {
-		names[a.ID] = a.Name
-	}
-	// Attribution runs per component rail — spans are tagged with the rail
-	// they drew on; the battery rail is the sum and carries no spans of its
-	// own. Rails iterate in meter registration order, fixed at
-	// construction, so the float accumulation order is deterministic.
-	period := sys.Meter.Period().Seconds()
+	// Blame is the profile summed by app, in canonical entry order. The
+	// idle floor is energy no span explains, so it is the kernel's.
 	joules := make(map[string]float64)
-	for _, rail := range sys.Meter.Rails() {
-		if rail == "battery" {
-			continue
+	for _, e := range rep.Profile {
+		app := e.App
+		if app == profile.IdleApp {
+			app = "kernel"
 		}
-		for _, bl := range sys.Blame(rail, from, to) {
-			if bl.Degraded {
-				rep.Degraded++
-			}
-			for _, sh := range bl.Shares {
-				name, ok := names[sh.Owner]
-				if !ok {
-					name = "unknown"
-				}
-				//psbox:allow-energyaccum summing already-integrated attribution windows (share × sampled W × meter period) in fixed rail-then-window order, not raw power×dt
-				joules[name] += float64(sh.Frac * float64(bl.W) * period)
-			}
-		}
+		//psbox:allow-energyaccum summing already-integrated profile stacks (share × sampled W × meter period) in canonical entry order, not raw power×dt
+		joules[app] += e.J
 	}
 	blamed := make([]string, 0, len(joules))
 	for name := range joules {

@@ -4,17 +4,18 @@ import (
 	"math"
 	"testing"
 
-	"psbox/internal/obs/profile"
 	"psbox/internal/sim"
 )
 
-// TestBlameAgreesWithProfile checks a shard report's two per-principal
-// energy views against each other and against one reference, the DAQ
-// samples themselves. Blame and the profile split the same sample windows
-// by the same occupancy, so each principal's joules must agree (the
-// profile's idle floor is part of blame's owner-0 "kernel" share), both
-// must fold every component rail's samples, and their total must be
-// Σ W × period over those samples.
+// TestBlameAgreesWithProfile checks a shard report's per-principal blame,
+// which Summarize sums from the energy profile, against two independent
+// references. The first is the per-sample blame timeline (System.Blame):
+// it splits the same sample windows by the same occupancy, so each
+// principal's joules must agree (the profile's idle floor is part of the
+// timeline's owner-0 "kernel" share), and both must mark the same windows
+// degraded. The second is the DAQ samples themselves: the profile must
+// fold every component rail's samples, and blame must total Σ W × period
+// over them.
 func TestBlameAgreesWithProfile(t *testing.T) {
 	const horizon = 200 * sim.Millisecond
 	near := func(got, want float64) bool {
@@ -23,11 +24,16 @@ func TestBlameAgreesWithProfile(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		sys := DefaultScenario(0, seed, horizon)
 		sys.Run(horizon)
-		rep := Summarize(sys, 0, sys.Now())
+		rep := Summarize(sys)
 
+		names := map[int]string{0: "kernel"}
+		for _, a := range sys.Kernel.Apps() {
+			names[a.ID] = a.Name
+		}
 		period := sys.Meter.Period().Seconds()
 		var sampleJ float64
-		var samples uint64
+		var samples, degraded uint64
+		timelineJ := make(map[string]float64)
 		for _, rail := range sys.Meter.Rails() {
 			if rail == "battery" {
 				continue
@@ -36,31 +42,35 @@ func TestBlameAgreesWithProfile(t *testing.T) {
 				sampleJ += float64(s.W) * period
 				samples++
 			}
+			for _, bl := range sys.Blame(rail, 0, sys.Now()) {
+				if bl.Degraded {
+					degraded++
+				}
+				for _, sh := range bl.Shares {
+					name, ok := names[sh.Owner]
+					if !ok {
+						name = "unknown"
+					}
+					timelineJ[name] += float64(sh.Frac * float64(bl.W) * period)
+				}
+			}
 		}
 
-		profileJ := make(map[string]float64)
-		for _, e := range rep.Profile {
-			app := e.App
-			if app == profile.IdleApp {
-				app = "kernel"
-			}
-			profileJ[app] += e.J
-		}
 		var blameJ float64
 		for _, bl := range rep.Blame {
 			blameJ += bl.J
-			pj, ok := profileJ[bl.App]
+			tj, ok := timelineJ[bl.App]
 			if !ok {
-				t.Errorf("seed %d: blame names %q, the profile does not", seed, bl.App)
+				t.Errorf("seed %d: blame names %q, the timeline does not", seed, bl.App)
 				continue
 			}
-			if !near(bl.J, pj) {
-				t.Errorf("seed %d: %s blame %.15g J, profile %.15g J", seed, bl.App, bl.J, pj)
+			if !near(bl.J, tj) {
+				t.Errorf("seed %d: %s blame %.15g J, timeline %.15g J", seed, bl.App, bl.J, tj)
 			}
-			delete(profileJ, bl.App)
+			delete(timelineJ, bl.App)
 		}
-		for app := range profileJ {
-			t.Errorf("seed %d: profile names %q, blame does not", seed, app)
+		for app := range timelineJ {
+			t.Errorf("seed %d: the timeline names %q, blame does not", seed, app)
 		}
 		if !near(blameJ, sampleJ) {
 			t.Errorf("seed %d: total blame %.15g J, Σ W × period over the samples %.15g J", seed, blameJ, sampleJ)
@@ -68,8 +78,8 @@ func TestBlameAgreesWithProfile(t *testing.T) {
 		if rep.ProfileWindows != samples {
 			t.Errorf("seed %d: profile folded %d windows, the rails hold %d samples", seed, rep.ProfileWindows, samples)
 		}
-		if rep.ProfileDegraded != uint64(rep.Degraded) {
-			t.Errorf("seed %d: profile degraded windows %d, blame degraded %d", seed, rep.ProfileDegraded, rep.Degraded)
+		if rep.ProfileDegraded != degraded {
+			t.Errorf("seed %d: profile degraded windows %d, timeline degraded %d", seed, rep.ProfileDegraded, degraded)
 		}
 	}
 }

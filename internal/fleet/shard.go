@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"psbox"
 	"psbox/internal/sim"
 	"psbox/internal/snapshot"
 	"psbox/internal/soak"
@@ -139,7 +138,7 @@ func (st *shardState) runAttempt(attempt int, resume *soak.Checkpoint, ctl *shar
 			ckpt: nil,
 		}
 	}
-	res = attemptResult{report: Summarize(sys, psbox.Time(0), sys.Now()), ckpt: tape.Latest}
+	res = attemptResult{report: Summarize(sys), ckpt: tape.Latest}
 	if resume != nil {
 		res.resumedFrom = resume.At
 	}

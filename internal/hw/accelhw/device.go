@@ -177,8 +177,7 @@ type Device struct {
 	hangNext bool
 	resets   uint64
 
-	onComplete   []func(*Command)
-	onFreqChange []func(oldIdx, newIdx int)
+	onComplete []func(*Command)
 }
 
 // New builds a device and starts its governor if configured.
@@ -250,11 +249,6 @@ func (d *Device) FreqIdx() int { return d.freqIdx }
 
 // OnComplete registers a completion interrupt handler.
 func (d *Device) OnComplete(fn func(*Command)) { d.onComplete = append(d.onComplete, fn) }
-
-// OnFreqChange registers an operating-point change callback.
-func (d *Device) OnFreqChange(fn func(oldIdx, newIdx int)) {
-	d.onFreqChange = append(d.onFreqChange, fn)
-}
 
 // FreqState is the device's virtualizable operating power state.
 type FreqState struct {
@@ -453,13 +447,9 @@ func (d *Device) setFreq(idx int) {
 		return
 	}
 	d.advance()
-	old := d.freqIdx
 	d.freqIdx = idx
 	d.reschedule()
 	d.updatePower()
-	for _, fn := range d.onFreqChange {
-		fn(old, idx)
-	}
 }
 
 // Utilization reports busy-slot fraction of the current governor window.

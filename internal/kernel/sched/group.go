@@ -23,8 +23,7 @@ type groupEntity struct {
 	queue   []*Task // runnable, not-running group tasks on this core
 }
 
-func (g *groupEntity) vrun() sim.Duration     { return g.vr }
-func (g *groupEntity) addVrun(d sim.Duration) { g.vr += d }
+func (g *groupEntity) vrun() sim.Duration { return g.vr }
 func (g *groupEntity) entityName() string {
 	return fmt.Sprintf("psbox-app%d/core%d", g.grp.AppID, g.core)
 }

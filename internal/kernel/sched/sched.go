@@ -124,13 +124,11 @@ type coreState struct {
 // rqe is a runqueue entity: either a plain task or a psbox group entity.
 type rqe interface {
 	vrun() sim.Duration
-	addVrun(d sim.Duration)
 	entityName() string
 }
 
-func (t *Task) vrun() sim.Duration     { return t.vr }
-func (t *Task) addVrun(d sim.Duration) { t.vr += d }
-func (t *Task) entityName() string     { return t.Name }
+func (t *Task) vrun() sim.Duration { return t.vr }
+func (t *Task) entityName() string { return t.Name }
 
 // Scheduler is the multicore CPU scheduler.
 type Scheduler struct {

@@ -6,8 +6,8 @@ import (
 	"psbox/internal/sim"
 )
 
-// Scenario builds the canonical mixed-fault scenario that psbox-faults
-// reports on and psbox-soak crashes: the mobile platform with tracing and
+// Scenario builds the canonical mixed-fault scenario that psbox-soak
+// reports on and crashes: the mobile platform with tracing and
 // accelerator watchdogs running Mix, one fault of each kind at fixed
 // fractions of the horizon plus a seeded random campaign, and an
 // invariant audit every horizon/20. A pure function of (seed, horizon).
