@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,6 +81,34 @@ func TestEnforcementVerdicts(t *testing.T) {
 	}
 	if st.Retired == 0 {
 		t.Error("no finite session retired")
+	}
+}
+
+// TestTranscriptMatchesGolden regenerates both seeded -soak transcripts
+// in-process and byte-compares them with the goldens under testdata/ at
+// the module root. Each transcript opens with the uninterrupted run's
+// report (arrival plan, per-session verdicts, enforcement tallies, fault
+// log, trace hashes), so the manager's enforcement ladder is held to a
+// golden, not only its crash-and-resume replays.
+func TestTranscriptMatchesGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		ms   int64
+	}{{7, 1000}, {42, 2000}} {
+		golden := fmt.Sprintf("psbox-flood-seed%d-ms%d.golden", c.seed, c.ms)
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", golden))
+		if err != nil {
+			t.Fatalf("golden missing (regenerate with `go run ./cmd/psbox-flood -seed %d -ms %d -soak > testdata/%s`): %v",
+				c.seed, c.ms, golden, err)
+		}
+		got, code := transcript(c.seed, c.ms)
+		if code != soak.ExitOK {
+			t.Errorf("seed=%d ms=%d: exit code %d, want %d", c.seed, c.ms, code, soak.ExitOK)
+		}
+		if got != string(want) {
+			t.Errorf("seed=%d ms=%d: transcript diverged from %s:\n%s", c.seed, c.ms, golden,
+				soak.DiffLines(string(want), got))
+		}
 	}
 }
 

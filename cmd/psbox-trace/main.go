@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	psbox "psbox"
 	"psbox/internal/account"
@@ -36,15 +37,22 @@ import (
 	"psbox/internal/workload"
 )
 
+// coRun installs the co-run every view of this command shows: calib3d
+// boxed on the CPU beside bodytrack. It returns the victim and its box.
+func coRun(sys *psbox.System) (*psbox.App, *psbox.Box) {
+	victim := workload.Install(sys.Kernel, workload.Catalog()["calib3d"](2, false))
+	workload.Install(sys.Kernel, workload.Catalog()["bodytrack"](2, false))
+	box := sys.Sandbox.MustCreate(victim, psbox.HWCPU)
+	box.Enter()
+	return victim, box
+}
+
 // fig6Curves renders the paper's Fig. 6 visual: the victim's power as seen
 // through its psbox against the share the baseline accounting attributes
 // to it, co-running with a noisy neighbour.
 func fig6Curves(seed uint64) {
 	sys := psbox.NewAM57(seed)
-	victim := workload.Install(sys.Kernel, workload.Catalog()["calib3d"](2, false))
-	workload.Install(sys.Kernel, workload.Catalog()["bodytrack"](2, false))
-	box := sys.Sandbox.MustCreate(victim, psbox.HWCPU)
-	box.Enter()
+	victim, box := coRun(sys)
 	sys.Run(1500 * psbox.Millisecond)
 
 	from, to := sim.Time(500*sim.Millisecond), sys.Now()
@@ -60,16 +68,12 @@ func fig6Curves(seed uint64) {
 }
 
 // tracedRun drives the canonical observability scenario with the bus
-// armed from t=0: calib3d sandboxed on the CPU co-running with bodytrack
-// on an AM57, plus one injected DAQ dropout at 2/5 of the horizon so the
-// degraded-metering path shows on the timeline.
+// armed from t=0: the co-run on an AM57, plus one injected DAQ dropout at
+// 2/5 of the horizon so the degraded-metering path shows on the timeline.
 func tracedRun(seed uint64, horizon psbox.Duration) *psbox.System {
 	sys := psbox.NewAM57(seed)
 	sys.EnableTracing()
-	victim := workload.Install(sys.Kernel, workload.Catalog()["calib3d"](2, false))
-	workload.Install(sys.Kernel, workload.Catalog()["bodytrack"](2, false))
-	box := sys.Sandbox.MustCreate(victim, psbox.HWCPU)
-	box.Enter()
+	coRun(sys)
 	sys.Faults.DropMeterAt(sim.Time(horizon*2/5), "cpu", horizon/100)
 	sys.Run(horizon)
 	return sys
@@ -86,8 +90,23 @@ func ringSummary(w io.Writer, b *obs.Bus) {
 		b.Total(), b.Len(), b.Dropped())
 }
 
-// emitTraced renders the requested views of one traced run onto w.
+// emitTraced renders the requested views of one traced run onto w. A
+// blame request the run cannot answer — a rail the meter lacks, or a
+// window outside the run — is refused before anything is written.
 func emitTraced(w io.Writer, sys *psbox.System, format string, metrics bool, blameRail string, blameFrom, blameLen psbox.Duration) error {
+	from := sim.Time(blameFrom)
+	to := from.Add(blameLen)
+	if blameRail != "" {
+		if !sys.Meter.HasRail(blameRail) {
+			return fmt.Errorf("no rail %q to blame; the meter has %s",
+				blameRail, strings.Join(sys.Meter.Rails(), ", "))
+		}
+		if from < 0 || to > sys.Now() {
+			return fmt.Errorf("blame window [%g ms, %g ms) lies outside the run's %g ms horizon",
+				blameFrom.Milliseconds(), (blameFrom + blameLen).Milliseconds(),
+				sim.Duration(sys.Now()).Milliseconds())
+		}
+	}
 	if format != "" {
 		enc, err := obs.EncoderFor(format)
 		if err != nil {
@@ -103,8 +122,7 @@ func emitTraced(w io.Writer, sys *psbox.System, format string, metrics bool, bla
 		}
 	}
 	if blameRail != "" {
-		from := sim.Time(blameFrom)
-		blames := sys.Blame(blameRail, from, from.Add(blameLen))
+		blames := sys.Blame(blameRail, from, to)
 		owners := make(map[int]string)
 		for _, a := range sys.Kernel.Apps() {
 			owners[a.ID] = a.Name
@@ -165,10 +183,7 @@ func main() {
 		return
 	}
 	sys := psbox.NewAM57(*seed)
-	victim := workload.Install(sys.Kernel, workload.Catalog()["calib3d"](2, false))
-	workload.Install(sys.Kernel, workload.Catalog()["bodytrack"](2, false))
-	box := sys.Sandbox.MustCreate(victim, psbox.HWCPU)
-	box.Enter()
+	_, box := coRun(sys)
 	sys.Run(2 * psbox.Second)
 	f, err := os.Create(*csvPath)
 	if err != nil {

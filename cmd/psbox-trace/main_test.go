@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	psbox "psbox"
@@ -105,5 +106,46 @@ func TestTracedRunIsRepeatable(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s output differs across identical runs", format)
 		}
+	}
+}
+
+// TestBlameRequestRefused: a blame request the traced run cannot answer
+// is a one-line error naming the rail, or the window and the horizon, and
+// nothing is written; a window ending exactly at the horizon is answered.
+func TestBlameRequestRefused(t *testing.T) {
+	sys := tracedRun(7, 500*psbox.Millisecond)
+	cases := []struct {
+		name          string
+		rail          string
+		fromMS, lenMS int
+		wantErr       string // "" means the request is answered
+	}{
+		{"unknown rail", "nosuch", 100, 2, `no rail "nosuch" to blame`},
+		{"window past the horizon", "cpu", 600, 2, "blame window [600 ms, 602 ms) lies outside the run's 500 ms horizon"},
+		{"window straddling the horizon", "cpu", 499, 2, "blame window [499 ms, 501 ms) lies outside the run's 500 ms horizon"},
+		{"window before the run", "cpu", -5, 2, "blame window [-5 ms, -3 ms) lies outside the run's 500 ms horizon"},
+		{"window ending at the horizon", "cpu", 498, 2, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := emitTraced(&buf, sys, "perfetto", false, tc.rail,
+				psbox.Duration(tc.fromMS)*psbox.Millisecond, psbox.Duration(tc.lenMS)*psbox.Millisecond)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("emitTraced: %v", err)
+				}
+				if !strings.Contains(buf.String(), "# blame timeline rail=cpu samples=200\n") {
+					t.Fatal("no 200-sample blame timeline in the output")
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("error = %v, want one line containing %q", err, tc.wantErr)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("refused request wrote %d bytes", buf.Len())
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 // could perturb.
 func faultScenario(seed uint64) string {
 	sys := psbox.NewMobile(seed)
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
+	sys.EnableAccelWatchdogs()
 
 	vision := sys.Kernel.NewApp("vision")
 	vision.Spawn("render", 0, psbox.Loop(
@@ -88,7 +88,7 @@ func TestFaultScenarioDeterministic(t *testing.T) {
 // exclusivity, non-negative backlogs, monotone readings) stayed silent.
 func TestFaultScenarioRecovers(t *testing.T) {
 	sys := psbox.NewMobile(3)
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
+	sys.EnableAccelWatchdogs()
 
 	vision := sys.Kernel.NewApp("vision")
 	vision.Spawn("render", 0, psbox.Loop(

@@ -86,8 +86,8 @@ func (f Failure) String() string {
 // Run. It must be a pure function of (shard, seed, horizon) — every
 // attempt of a shard rebuilds through it, and the replay-twin resume
 // contract requires identical event sequences across attempts. It must
-// also enable profiling, as DefaultScenario and ChurnScenario do: the
-// shard report's blame is its energy profile summed by principal.
+// also enable profiling, as DefaultScenario does: the shard report's
+// blame is its energy profile summed by principal.
 type Builder func(shard int, seed uint64, horizon sim.Duration) *psbox.System
 
 // Config parameterizes one fleet run.

@@ -310,28 +310,3 @@ func TestNewPlanDeterministic(t *testing.T) {
 		t.Error("nil plan must inject nothing and describe as off")
 	}
 }
-
-// TestChurnScenarioDeterministicAcrossWorkers runs the sandbox-churn
-// workload — session admission, throttling, kills, restarts, and
-// quarantine live on every shard — under the all-kinds chaos plan at one
-// worker and at four. Shard resume replays through the session manager's
-// checkpoint section, so any nondeterminism in its snapshot or its
-// enforcement schedule surfaces as a merged-report mismatch.
-func TestChurnScenarioDeterministicAcrossWorkers(t *testing.T) {
-	var reports []string
-	for _, workers := range []int{1, 4} {
-		cfg := testConfig(4)
-		cfg.Workers = workers
-		cfg.Build = ChurnScenario
-		cfg.Chaos = chaosAllKinds()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		reports = append(reports, res.Format())
-	}
-	if reports[0] != reports[1] {
-		t.Errorf("churn merged report differs between workers=1 and workers=4:\n--- w1 ---\n%s\n--- w4 ---\n%s",
-			reports[0], reports[1])
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"psbox/internal/faults"
 	"psbox/internal/obs"
 	"psbox/internal/obs/profile"
-	"psbox/internal/sandbox"
 	"psbox/internal/sim"
 	"psbox/internal/soak"
 )
@@ -22,7 +21,7 @@ import (
 func DefaultScenario(shard int, seed uint64, horizon sim.Duration) *psbox.System {
 	sys := psbox.NewMobile(seed)
 	sys.EnableProfiling()
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
+	sys.EnableAccelWatchdogs()
 
 	soak.Mix(sys)
 
@@ -33,84 +32,6 @@ func DefaultScenario(shard int, seed uint64, horizon sim.Duration) *psbox.System
 		DVFSStalls:    1,
 		MeterDropouts: 2,
 	})
-	sys.SetAuditEvery(horizon / 10)
-	return sys
-}
-
-// ChurnScenario is the fleet's sandbox-churn workload: every shard hosts
-// a runtime session manager driving live session churn — a finite steady
-// that retires, a bursty pulse, a budget hog that climbs the throttle →
-// kill → restart ladder, and a crash-looper the fault layer kills until
-// the circuit breaker quarantines it — plus late arrivals (one of them
-// over-budget, so admission control has a rejection to make). The
-// enforcement cadence scales with the horizon so the whole lifecycle
-// fits any shard length. A pure function of (seed, horizon), like
-// DefaultScenario: every attempt of a shard, clean or resumed from a
-// checkpoint, rebuilds the identical event sequence.
-func ChurnScenario(shard int, seed uint64, horizon sim.Duration) *psbox.System {
-	sys := psbox.NewMobile(seed)
-	sys.EnableProfiling()
-	mgr := sys.Sandboxes()
-	cfg := sandbox.DefaultConfig(6)
-	cfg.Window = horizon / 20
-	cfg.ThrottleAfter = 2
-	cfg.KillAfter = 2
-	cfg.BackoffBase = horizon / 50
-	cfg.BackoffCap = horizon / 10
-	cfg.BreakerWindow = horizon / 2
-	mgr.SetConfig(cfg)
-
-	steady := func(name string, budget float64) sandbox.Spec {
-		step := horizon / 40
-		var seq []psbox.Action
-		for i := 0; i < 10; i++ {
-			seq = append(seq, psbox.Compute{Cycles: 3e5}, psbox.Sleep{D: step})
-		}
-		return sandbox.Spec{Name: name, BudgetW: budget,
-			Start: func(app *psbox.App) { app.Spawn("work", 0, psbox.Sequence(seq...)) }}
-	}
-	mustLaunch := func(spec sandbox.Spec) {
-		if _, err := mgr.Launch(spec); err != nil {
-			panic("fleet: churn resident rejected: " + err.Error())
-		}
-	}
-	mustLaunch(steady("steady-0", 1.0))
-	mustLaunch(sandbox.Spec{Name: "pulse-0", BudgetW: 0.8,
-		Start: func(app *psbox.App) {
-			app.Spawn("burst", 0, psbox.Loop(
-				psbox.Compute{Cycles: 2e6},
-				psbox.Sleep{D: horizon / 8},
-			))
-		}})
-	mustLaunch(sandbox.Spec{Name: "hog-0", BudgetW: 0.3,
-		Start: func(app *psbox.App) {
-			app.Spawn("spin", 0, psbox.Loop(psbox.Compute{Cycles: 5e5}))
-		}})
-	mustLaunch(sandbox.Spec{Name: "crashloop-0", BudgetW: 0.8, PreserveData: true,
-		Start: func(app *psbox.App) {
-			app.Spawn("work", 0, psbox.ProgramFunc(func(env *psbox.Env) psbox.Action {
-				env.Count("iters", 1)
-				return psbox.Sleep{D: horizon / 100}
-			}))
-		}})
-
-	// Session churn: a late steady (admitted as the first retires), and an
-	// over-budget arrival admission control must reject. The seed jitters
-	// the late arrival's instant so shards don't churn in lockstep.
-	at := func(frac float64) psbox.Time {
-		return psbox.Time(int64(float64(horizon)*frac) + int64(seed%5)*int64(horizon/200))
-	}
-	late := steady("steady-1", 1.0)
-	sys.Eng.At(at(0.55), func(psbox.Time) { _, _ = mgr.Launch(late) })
-	greedy := steady("greedy", 9.0)
-	sys.Eng.At(at(0.60), func(psbox.Time) { _, _ = mgr.Launch(greedy) })
-
-	// The crash campaign: three kills inside the breaker window quarantine
-	// the crash-looper on the third.
-	for _, frac := range []float64{0.30, 0.40, 0.48} {
-		sys.Faults.CrashSessionAt(at(frac), "crashloop-0")
-	}
-
 	sys.SetAuditEvery(horizon / 10)
 	return sys
 }

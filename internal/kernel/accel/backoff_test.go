@@ -6,14 +6,14 @@ import (
 	"psbox/internal/sim"
 )
 
-// TestBackoffGoldenSchedule pins the watchdog's resubmission delays for
-// the default config: 2 ms doubling to a 32 ms ceiling. These delays
-// position every requeue event in the engine's queue, so the sequence is
-// part of the deterministic replay surface — a change here invalidates
-// every trace and checkpoint golden in the repo. sim's TestBackoff covers
-// the schedule's shape; this test pins the watchdog's tuning of it.
+// TestBackoffGoldenSchedule pins the watchdog's resubmission delays:
+// wdBackoffBase 2 ms doubling to the wdBackoffCap ceiling of 32 ms. These
+// delays position every requeue event in the engine's queue, so the
+// sequence is part of the deterministic replay surface — a change here
+// invalidates every trace and checkpoint golden in the repo. sim's
+// TestBackoff covers the schedule's shape; this test pins the watchdog's
+// tuning of it.
 func TestBackoffGoldenSchedule(t *testing.T) {
-	cfg := DefaultWatchdogConfig()
 	want := []sim.Duration{
 		2 * sim.Millisecond,  // retry 1
 		4 * sim.Millisecond,  // retry 2
@@ -24,16 +24,16 @@ func TestBackoffGoldenSchedule(t *testing.T) {
 		32 * sim.Millisecond, // retry 7: stays capped
 	}
 	for i, w := range want {
-		if got := sim.Backoff(i+1, cfg.BackoffBase, cfg.BackoffCap); got != w {
+		if got := sim.Backoff(i+1, wdBackoffBase, wdBackoffCap); got != w {
 			t.Errorf("retry %d: backoff %v, want %v", i+1, got, w)
 		}
 	}
 }
 
-// TestBackoffProperties covers the shapes a valid watchdog config can
-// give the resubmission schedule: delays stay within [base, cap], never
-// shrink, truncate exactly at a non-power-of-two cap, and treat retry
-// counts ≤ 0 as the first retry.
+// TestBackoffProperties covers the shapes a base and a cap give a
+// resubmission schedule: delays stay within [base, cap], never shrink,
+// truncate exactly at a non-power-of-two cap, and treat retry counts ≤ 0
+// as the first retry.
 func TestBackoffProperties(t *testing.T) {
 	base, limit := 3*sim.Millisecond, 20*sim.Millisecond
 	prev := sim.Duration(0)

@@ -91,9 +91,9 @@ type Driver struct {
 
 	nextCmdID uint64
 
-	// Watchdog state (nil wd: disabled). The deadline is per executing
-	// command: the oldest one must complete within wd.Timeout of starting.
-	wd          *WatchdogConfig
+	// Watchdog state (wd false: disabled). The deadline is per executing
+	// command: the oldest one must complete within wdTimeout of starting.
+	wd          bool
 	wdArm       sim.Handle
 	wdResets    uint64
 	wdResubmits uint64

@@ -19,7 +19,8 @@ func (a *appState) Snapshot(enc *snapshot.Encoder) {
 
 // Snapshot encodes the driver: balloon phase machine, credit floor,
 // watchdog state, and every app's credit, backlog and virtual power
-// state (in app ID order).
+// state (in app ID order). An armed watchdog's constants keep their slots
+// so the section's wire format is stable.
 func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	enc.U8(uint8(d.phase))
 	if d.activeBox == nil {
@@ -32,12 +33,12 @@ func (d *Driver) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(d.graceArm.Seq())
 	enc.F64(d.led.Floor())
 	enc.U64(d.nextCmdID)
-	enc.Bool(d.wd != nil)
-	if d.wd != nil {
-		enc.I64(int64(d.wd.Timeout))
-		enc.I64(int64(d.wd.BackoffBase))
-		enc.I64(int64(d.wd.BackoffCap))
-		enc.I64(int64(d.wd.MaxRetries))
+	enc.Bool(d.wd)
+	if d.wd {
+		enc.I64(int64(wdTimeout))
+		enc.I64(int64(wdBackoffBase))
+		enc.I64(int64(wdBackoffCap))
+		enc.I64(wdMaxRetries)
 	}
 	enc.U64(d.wdArm.Seq())
 	enc.U64(d.wdResets)

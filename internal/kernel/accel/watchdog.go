@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"fmt"
 	"sort"
 
 	"psbox/internal/hw/accelhw"
@@ -9,62 +8,37 @@ import (
 	"psbox/internal/sim"
 )
 
-// WatchdogConfig tunes the kernel watchdog over one accelerator: the
-// recovery path for wedged devices (a GPU ring that stops retiring
-// commands, a DSP kernel stuck in an infinite loop).
-type WatchdogConfig struct {
-	// Timeout is the per-command execution deadline (the Linux DRM job
+// The kernel watchdog over one accelerator: the recovery path for wedged
+// devices (a GPU ring that stops retiring commands, a DSP kernel stuck in
+// an infinite loop). Its deadlines mirror the conservative ones of real
+// GPU job watchdogs: long enough that a slow command at the lowest
+// operating point finishes comfortably, short enough that an app blocked
+// on a wedged device recovers quickly.
+const (
+	// wdTimeout is the per-command execution deadline (the Linux DRM job
 	// timeout, in spirit): if the oldest executing command has held its
 	// slot this long without completing, the watchdog declares the device
 	// hung, resets it, and resubmits the orphaned commands. It must exceed
 	// the worst-case legitimate command latency, or healthy slow commands
 	// will be reset in a livelock.
-	Timeout sim.Duration
+	wdTimeout = 250 * sim.Millisecond
 
-	// BackoffBase is the resubmission delay after a command's first abort;
-	// it doubles per retry of the same command, capped at BackoffCap.
-	BackoffBase sim.Duration
-	BackoffCap  sim.Duration
+	// wdBackoffBase is the resubmission delay after a command's first
+	// abort; it doubles per retry of the same command, capped at
+	// wdBackoffCap.
+	wdBackoffBase = 2 * sim.Millisecond
+	wdBackoffCap  = 32 * sim.Millisecond
 
-	// MaxRetries bounds resubmissions per command; beyond it the command is
-	// dropped (the app's backlog shrinks as if it completed, but nothing is
-	// billed for it and no work is credited).
-	MaxRetries int
-}
-
-// DefaultWatchdogConfig mirrors the conservative deadlines of real GPU
-// job watchdogs: long enough that a slow command at the lowest operating
-// point finishes comfortably, short enough that an app blocked on a
-// wedged device recovers quickly.
-func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{
-		Timeout:     250 * sim.Millisecond,
-		BackoffBase: 2 * sim.Millisecond,
-		BackoffCap:  32 * sim.Millisecond,
-		MaxRetries:  5,
-	}
-}
-
-func (c WatchdogConfig) validate() error {
-	if c.Timeout <= 0 {
-		return fmt.Errorf("accel watchdog: Timeout must be positive")
-	}
-	if c.BackoffBase <= 0 || c.BackoffCap < c.BackoffBase {
-		return fmt.Errorf("accel watchdog: need 0 < BackoffBase <= BackoffCap")
-	}
-	if c.MaxRetries < 1 {
-		return fmt.Errorf("accel watchdog: MaxRetries must be at least 1")
-	}
-	return nil
-}
+	// wdMaxRetries bounds resubmissions per command; beyond it the command
+	// is dropped (the app's backlog shrinks as if it completed, but nothing
+	// is billed for it and no work is credited).
+	wdMaxRetries = 5
+)
 
 // EnableWatchdog arms the execution-deadline watchdog. It may be called
-// before any commands flow; a zero-config driver runs without one.
-func (d *Driver) EnableWatchdog(cfg WatchdogConfig) {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
-	d.wd = &cfg
+// before any commands flow; a driver runs without one until then.
+func (d *Driver) EnableWatchdog() {
+	d.wd = true
 	d.armWatchdog()
 }
 
@@ -74,7 +48,7 @@ func (d *Driver) WatchdogResets() uint64 { return d.wdResets }
 // Resubmits reports how many orphaned commands the watchdog requeued.
 func (d *Driver) Resubmits() uint64 { return d.wdResubmits }
 
-// DroppedCommands reports commands abandoned after exhausting MaxRetries.
+// DroppedCommands reports commands abandoned after exhausting wdMaxRetries.
 func (d *Driver) DroppedCommands() uint64 { return d.wdDropped }
 
 // feedWatchdog re-evaluates the watchdog deadline after a dispatch or a
@@ -103,25 +77,22 @@ func (d *Driver) oldestExec() (sim.Time, bool) {
 }
 
 func (d *Driver) armWatchdog() {
-	if d.wd == nil || d.wdArm.Pending() {
+	if !d.wd || d.wdArm.Pending() {
 		return
 	}
 	oldest, ok := d.oldestExec()
 	if !ok {
 		return
 	}
-	d.wdArm = d.eng.At(oldest.Add(d.wd.Timeout), d.watchdogTick)
+	d.wdArm = d.eng.At(oldest.Add(wdTimeout), d.watchdogTick)
 }
 
 func (d *Driver) watchdogTick(now sim.Time) {
-	if d.wd == nil {
-		return
-	}
 	oldest, ok := d.oldestExec()
 	if !ok {
 		return
 	}
-	if now.Sub(oldest) < d.wd.Timeout {
+	if now.Sub(oldest) < wdTimeout {
 		// The command this deadline was armed for completed; track the new
 		// oldest instead.
 		d.armWatchdog()
@@ -148,13 +119,13 @@ func (d *Driver) recoverDevice(now sim.Time) {
 		// nothing; charge it in the usual occupancy currency.
 		a.Credit += now.Sub(cmd.Dispatched).Seconds()
 		cmd.Retries++
-		if cmd.Retries > d.wd.MaxRetries {
+		if cmd.Retries > wdMaxRetries {
 			d.wdDropped++
 			d.bus.Instant(obs.CatAccel, "wd-drop", cmd.Owner, int64(cmd.ID), d.dev.Config().Name, cmd.Kind)
 			d.bus.Count("accel.wd_dropped", cmd.Owner, d.dev.Config().Name, 1)
 			continue
 		}
-		backoff := sim.Backoff(cmd.Retries, d.wd.BackoffBase, d.wd.BackoffCap)
+		backoff := sim.Backoff(cmd.Retries, wdBackoffBase, wdBackoffCap)
 		d.wdResubmits++
 		d.bus.Instant(obs.CatAccel, "wd-resubmit", cmd.Owner, int64(cmd.ID), d.dev.Config().Name, cmd.Kind)
 		d.bus.Count("accel.wd_resubmits", cmd.Owner, d.dev.Config().Name, 1)

@@ -6,23 +6,18 @@ import (
 	"psbox/internal/sim"
 )
 
-func wdCfg() WatchdogConfig {
-	return WatchdogConfig{
-		Timeout:     50 * sim.Millisecond,
-		BackoffBase: 1 * sim.Millisecond,
-		BackoffCap:  8 * sim.Millisecond,
-		MaxRetries:  3,
-	}
-}
+// The watchdog tests are timed from its constants: a hung command draws
+// the bark wdTimeout after it started, and its first redispatch
+// wdBackoffBase later. The fixture's device does one work unit per ms.
 
 func TestWatchdogRecoversHungCommand(t *testing.T) {
 	f := newFixture(t, devCfg())
-	f.drv.EnableWatchdog(wdCfg())
+	f.drv.EnableWatchdog()
 	f.submit(1, 10) // 10 ms of work
 	if !f.dev.InjectHang() {
 		t.Fatal("expected a command to wedge")
 	}
-	f.eng.RunFor(40 * sim.Millisecond)
+	f.eng.RunFor(wdTimeout - 10*sim.Millisecond)
 	if f.drv.Completed(1) != 0 || f.drv.WatchdogResets() != 0 {
 		t.Fatal("watchdog fired before its deadline")
 	}
@@ -47,11 +42,11 @@ func TestWatchdogRecoversHungCommand(t *testing.T) {
 
 func TestWatchdogDoesNotResetHealthySlowTraffic(t *testing.T) {
 	f := newFixture(t, devCfg())
-	f.drv.EnableWatchdog(wdCfg())
-	// Each command takes 40 ms < the 50 ms deadline; a steady stream must
-	// never trip the watchdog.
-	f.feeder(1, 40, 2)
-	f.eng.RunFor(500 * sim.Millisecond)
+	f.drv.EnableWatchdog()
+	// Each command takes 10 ms less than the deadline; a steady stream
+	// must never trip the watchdog.
+	f.feeder(1, float64((wdTimeout-10*sim.Millisecond)/sim.Millisecond), 2)
+	f.eng.RunFor(10 * wdTimeout)
 	if f.drv.WatchdogResets() != 0 {
 		t.Fatalf("watchdog reset healthy device %d times", f.drv.WatchdogResets())
 	}
@@ -67,13 +62,13 @@ func TestWatchdogCatchesHangBehindLiveTraffic(t *testing.T) {
 	cfg.Slots = 4
 	cfg.ExecWidth = 2
 	f := newFixture(t, cfg)
-	f.drv.EnableWatchdog(wdCfg())
+	f.drv.EnableWatchdog()
 	f.submit(1, 500) // will wedge
 	if !f.dev.InjectHang() {
 		t.Fatal("expected a command to wedge")
 	}
 	f.feeder(2, 5, 2) // healthy 5 ms commands keep slot 2 cycling
-	f.eng.RunFor(200 * sim.Millisecond)
+	f.eng.RunFor(wdTimeout + 150*sim.Millisecond)
 	if f.drv.WatchdogResets() == 0 {
 		t.Fatal("hang hidden behind live traffic was never recovered")
 	}
@@ -84,25 +79,24 @@ func TestWatchdogCatchesHangBehindLiveTraffic(t *testing.T) {
 
 func TestWatchdogBillsWastedOccupancyToOwner(t *testing.T) {
 	f := newFixture(t, devCfg())
-	f.drv.EnableWatchdog(wdCfg())
+	f.drv.EnableWatchdog()
 	f.submit(1, 10)
 	f.dev.InjectHang()
 	before := f.drv.VRuntime(1)
-	f.eng.RunFor(60 * sim.Millisecond) // watchdog barks at 50 ms
+	f.eng.RunFor(wdTimeout + 10*sim.Millisecond) // watchdog barks at wdTimeout
 	if f.drv.WatchdogResets() != 1 {
 		t.Fatalf("resets = %d", f.drv.WatchdogResets())
 	}
-	// The owner paid for the ~50 ms its hung command held the slot, on top
-	// of whatever the clean rerun bills.
-	if got := f.drv.VRuntime(1) - before; got < 0.050 {
-		t.Fatalf("wasted occupancy billed %.4f slot-seconds, want >= 0.050", got)
+	// The owner paid for the wdTimeout its hung command held the slot, on
+	// top of whatever the clean rerun bills.
+	if got, want := f.drv.VRuntime(1)-before, wdTimeout.Seconds(); got < want {
+		t.Fatalf("wasted occupancy billed %.4f slot-seconds, want >= %.4f", got, want)
 	}
 }
 
 func TestWatchdogDropsCommandAfterMaxRetries(t *testing.T) {
 	f := newFixture(t, devCfg())
-	cfg := wdCfg()
-	f.drv.EnableWatchdog(cfg)
+	f.drv.EnableWatchdog()
 	f.submit(1, 10)
 	f.dev.InjectHang()
 	// Re-wedge the device every time the command is redispatched: the
@@ -115,14 +109,16 @@ func TestWatchdogDropsCommandAfterMaxRetries(t *testing.T) {
 		f.eng.After(sim.Millisecond, rewedge)
 	}
 	f.eng.After(sim.Millisecond, rewedge)
-	f.eng.RunFor(2 * sim.Second)
+	// Every attempt holds its slot for the full deadline, and the backoffs
+	// between the wdMaxRetries+1 attempts sum to less than one more.
+	f.eng.RunFor(sim.Duration(wdMaxRetries+2) * wdTimeout)
 	if f.drv.DroppedCommands() != 1 {
 		t.Fatalf("dropped = %d, want 1", f.drv.DroppedCommands())
 	}
-	// MaxRetries resets happened (initial hang + retries), then the driver
-	// gave up and the backlog cleared.
-	if f.drv.WatchdogResets() != uint64(cfg.MaxRetries)+1 {
-		t.Fatalf("resets = %d, want %d", f.drv.WatchdogResets(), cfg.MaxRetries+1)
+	// wdMaxRetries+1 resets happened (initial hang + retries), then the
+	// driver gave up and the backlog cleared.
+	if f.drv.WatchdogResets() != wdMaxRetries+1 {
+		t.Fatalf("resets = %d, want %d", f.drv.WatchdogResets(), wdMaxRetries+1)
 	}
 	if f.drv.Backlog(1) != 0 {
 		t.Fatalf("backlog = %d after drop", f.drv.Backlog(1))
@@ -131,18 +127,22 @@ func TestWatchdogDropsCommandAfterMaxRetries(t *testing.T) {
 
 func TestWatchdogBackoffDelaysResubmission(t *testing.T) {
 	f := newFixture(t, devCfg())
-	f.drv.EnableWatchdog(wdCfg())
+	f.drv.EnableWatchdog()
 	f.submit(1, 10)
 	f.dev.InjectHang()
-	f.eng.RunFor(50 * sim.Millisecond) // bark fires exactly now
+	f.eng.RunFor(wdTimeout) // bark fires exactly now
 	if f.drv.WatchdogResets() != 1 {
 		t.Fatalf("resets = %d", f.drv.WatchdogResets())
 	}
-	// First retry backs off BackoffBase = 1 ms before redispatch.
+	// First retry backs off wdBackoffBase before redispatch.
 	if f.dev.Busy() != 0 {
 		t.Fatal("command redispatched with no backoff")
 	}
-	f.eng.RunFor(2 * sim.Millisecond)
+	f.eng.RunFor(wdBackoffBase - sim.Microsecond)
+	if f.dev.Busy() != 0 {
+		t.Fatal("command redispatched before wdBackoffBase")
+	}
+	f.eng.RunFor(sim.Microsecond)
 	if f.dev.Busy() != 1 {
 		t.Fatal("command not redispatched after backoff")
 	}

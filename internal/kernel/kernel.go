@@ -151,9 +151,9 @@ func (k *Kernel) AccelNames() []string { return k.accelKeys }
 
 // EnableAccelWatchdogs arms the completion-deadline watchdog on every
 // attached accelerator driver.
-func (k *Kernel) EnableAccelWatchdogs(cfg accel.WatchdogConfig) {
+func (k *Kernel) EnableAccelWatchdogs() {
 	for _, name := range k.accelKeys {
-		k.accels[name].EnableWatchdog(cfg)
+		k.accels[name].EnableWatchdog()
 	}
 }
 

@@ -7,13 +7,13 @@
 //     the remaining headroom of the device's power capacity.
 //   - A budget monitor, fed by the internal/account blame shares of the
 //     metered rails, throttles an app that stays over budget (duty-cycling
-//     its CPU via the scheduler's throttle gates) and kills it after K
-//     further violation windows.
+//     its CPU via the scheduler's throttle gates) and kills it after
+//     killAfter further violation windows.
 //   - A supervisor restarts crashed or killed sessions with capped
 //     exponential backoff; a circuit breaker quarantines a session that
-//     fails N times within a window. Restarted incarnations are seeded
-//     with the preserve_data counters of their predecessor, so they resume
-//     rather than replay.
+//     fails breakerN times within breakerWindow. Restarted incarnations
+//     are seeded with the preserve_data counters of their predecessor, so
+//     they resume rather than replay.
 //
 // Everything the manager does rides the simulation engine: one seed, one
 // schedule of admissions, violations, kills, and restarts.
@@ -31,57 +31,51 @@ import (
 	"psbox/internal/sim"
 )
 
-// Config tunes the manager's enforcement ladder. The zero value is not
-// usable; start from DefaultConfig.
+// Config is the manager's one setting. The zero value is not usable;
+// start from DefaultConfig.
 type Config struct {
 	// CapacityW is the device's admittable power: the sum of live
 	// sessions' declared budgets never exceeds it.
 	CapacityW power.Watts
+}
 
-	// Window is the budget monitor period: blame shares are evaluated
+// DefaultConfig returns the config admitting capacity watts.
+func DefaultConfig(capacity power.Watts) Config {
+	return Config{CapacityW: capacity}
+}
+
+// The enforcement ladder.
+const (
+	// window is the budget monitor period: blame shares are evaluated
 	// (and throttle duty cycles paced) once per window.
-	Window sim.Duration
+	window = 25 * sim.Millisecond
 
-	// ThrottleAfter is how many consecutive over-budget windows a running
+	// throttleAfter is how many consecutive over-budget windows a running
 	// session survives before it is throttled.
-	ThrottleAfter int
+	throttleAfter = 2
 
-	// KillAfter is how many consecutive violation windows a *throttled*
+	// killAfter is how many consecutive violation windows a throttled
 	// session survives before it is killed. While throttled the session
 	// is held against its duty-scaled budget, so a genuine hog keeps
 	// violating and climbs the ladder; a reformed app recovers.
-	KillAfter int
+	killAfter = 3
 
-	// ThrottleDuty is the fraction of each window a throttled session's
-	// CPU gate stays open (0 < duty < 1).
-	ThrottleDuty float64
+	// throttleDuty is the fraction of each window a throttled session's
+	// CPU gate stays open.
+	throttleDuty = 0.25
 
-	// BackoffBase and BackoffCap bound the supervisor's restart delay:
-	// base·2^(failures-1), capped.
-	BackoffBase sim.Duration
-	BackoffCap  sim.Duration
+	// backoffBase and backoffCap bound the supervisor's restart delay:
+	// base·2^(failures-1), capped. The cap never binds while breakerN is
+	// 3: the third kill quarantines, so a restart waits at most 2·base.
+	backoffBase = 10 * sim.Millisecond
+	backoffCap  = 160 * sim.Millisecond
 
-	// BreakerN failures within BreakerWindow trip the circuit breaker:
+	// breakerN failures within breakerWindow trip the circuit breaker:
 	// the session is quarantined instead of restarted, and its budget
 	// reservation is released.
-	BreakerN      int
-	BreakerWindow sim.Duration
-}
-
-// DefaultConfig returns the standard enforcement tuning.
-func DefaultConfig(capacity power.Watts) Config {
-	return Config{
-		CapacityW:     capacity,
-		Window:        25 * sim.Millisecond,
-		ThrottleAfter: 2,
-		KillAfter:     3,
-		ThrottleDuty:  0.25,
-		BackoffBase:   10 * sim.Millisecond,
-		BackoffCap:    160 * sim.Millisecond,
-		BreakerN:      3,
-		BreakerWindow: 500 * sim.Millisecond,
-	}
-}
+	breakerN      = 3
+	breakerWindow = 500 * sim.Millisecond
+)
 
 // State is a session's lifecycle state.
 type State uint8
@@ -169,7 +163,7 @@ type Session struct {
 	violations int // consecutive violation windows
 
 	preserved map[string]float64 // preserve_data carried across restarts
-	failures  []sim.Time         // recent kill instants, pruned to BreakerWindow
+	failures  []sim.Time         // recent kill instants, pruned to breakerWindow
 
 	restartArm sim.Handle // pending supervisor restart
 	gateArm    sim.Handle // pending duty-cycle gate close
@@ -255,25 +249,10 @@ func validate(cfg Config) {
 	if cfg.CapacityW <= 0 {
 		panic("sandbox: need a positive power capacity")
 	}
-	if cfg.Window <= 0 {
-		panic("sandbox: need a positive monitor window")
-	}
-	if cfg.ThrottleAfter <= 0 || cfg.KillAfter <= 0 {
-		panic("sandbox: need positive ladder thresholds")
-	}
-	if cfg.ThrottleDuty <= 0 || cfg.ThrottleDuty >= 1 {
-		panic("sandbox: throttle duty must be in (0, 1)")
-	}
-	if cfg.BackoffBase <= 0 || cfg.BackoffCap < cfg.BackoffBase {
-		panic("sandbox: need 0 < backoff base ≤ cap")
-	}
-	if cfg.BreakerN <= 0 || cfg.BreakerWindow <= 0 {
-		panic("sandbox: need a positive breaker threshold and window")
-	}
 }
 
-// SetConfig replaces the enforcement tuning. Panics after the first
-// Launch: the ladder must not move under live sessions.
+// SetConfig replaces the config. Panics after the first Launch: the
+// capacity must not move under live sessions.
 func (m *Manager) SetConfig(cfg Config) {
 	if m.started {
 		panic("sandbox: SetConfig after Launch")
@@ -281,9 +260,6 @@ func (m *Manager) SetConfig(cfg Config) {
 	validate(cfg)
 	m.cfg = cfg
 }
-
-// Config returns the active enforcement tuning.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Stats returns the aggregate enforcement tally.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -327,7 +303,7 @@ func (m *Manager) Launch(spec Spec) (*Session, error) {
 	if !m.started {
 		m.started = true
 		m.lastWindow = m.eng.Now()
-		m.monitorArm = m.eng.After(m.cfg.Window, m.tick)
+		m.monitorArm = m.eng.After(window, m.tick)
 	}
 	s := &Session{spec: spec, state: StateRunning, spanStart: m.eng.Now()}
 	m.sessions = append(m.sessions, s)
@@ -402,7 +378,7 @@ func (m *Manager) tick(now sim.Time) {
 			// Held against the duty-scaled budget: a throttled hog still
 			// saturates its open slice and keeps violating; an app that
 			// reformed drops below and recovers.
-			limitJ *= m.cfg.ThrottleDuty
+			limitJ *= throttleDuty
 			if reclaimed := s.peakJ - e; reclaimed > 0 {
 				m.stats.ReclaimedJ += reclaimed
 			}
@@ -417,10 +393,10 @@ func (m *Manager) tick(now sim.Time) {
 				m.unthrottle(s)
 			}
 		}
-		if s.state != StateThrottled && s.violations >= m.cfg.ThrottleAfter {
+		if s.state != StateThrottled && s.violations >= throttleAfter {
 			s.peakJ = e
 			m.throttle(s)
-		} else if s.state == StateThrottled && s.violations >= m.cfg.KillAfter {
+		} else if s.state == StateThrottled && s.violations >= killAfter {
 			//psbox:allow-unbilledenergy teardown is not a metering event; the next tick's Shares call bills the closed window
 			m.kill(s, "budget")
 			continue
@@ -429,7 +405,7 @@ func (m *Manager) tick(now sim.Time) {
 			m.pulseGate(s)
 		}
 	}
-	m.monitorArm = m.eng.After(m.cfg.Window, m.tick)
+	m.monitorArm = m.eng.After(window, m.tick)
 }
 
 // backlog sums the app's backlog across every attached accelerator.
@@ -461,7 +437,7 @@ func (m *Manager) pulseGate(s *Session) {
 	sch := m.k.Scheduler()
 	sch.SetAppGate(s.app.ID, true)
 	m.eng.Cancel(s.gateArm)
-	openFor := sim.Duration(float64(m.cfg.Window) * m.cfg.ThrottleDuty)
+	openFor := sim.Duration(float64(window) * throttleDuty)
 	appID := s.app.ID
 	s.gateArm = m.eng.After(openFor, func(sim.Time) { sch.SetAppGate(appID, false) })
 }
@@ -504,16 +480,16 @@ func (m *Manager) kill(s *Session, reason string) {
 	// Circuit breaker: prune failures outside the window, record this one.
 	kept := s.failures[:0]
 	for _, at := range s.failures {
-		if now.Sub(at) < m.cfg.BreakerWindow {
+		if now.Sub(at) < breakerWindow {
 			kept = append(kept, at)
 		}
 	}
 	s.failures = append(kept, now)
-	if len(s.failures) >= m.cfg.BreakerN {
+	if len(s.failures) >= breakerN {
 		m.quarantine(s)
 		return
 	}
-	backoff := sim.Backoff(len(s.failures), m.cfg.BackoffBase, m.cfg.BackoffCap)
+	backoff := sim.Backoff(len(s.failures), backoffBase, backoffCap)
 	s.restartArm = m.eng.After(backoff, func(sim.Time) { m.restart(s) })
 }
 

@@ -279,27 +279,36 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestThrottleConfinesPower: over a long horizon the throttled hog's
-// attributed energy stays well below its unthrottled appetite.
+// TestThrottleConfinesPower: once throttled, the hog gets about the
+// throttle duty of the CPU time it takes unthrottled. The ladder throttles
+// the hog at the end of its second over-budget window (50 ms) and kills it
+// at the end of its third throttled one (125 ms); the comparison covers
+// the throttled windows before the kill, against the same hog declared
+// with a budget it never exceeds.
 func TestThrottleConfinesPower(t *testing.T) {
-	run := func(throttling bool) float64 {
+	run := func(budget float64) (cpuNs float64, throttles uint64) {
 		sys := psbox.NewAM57(9)
 		mgr := sys.Sandboxes()
-		cfg := sandbox.DefaultConfig(6)
-		if !throttling {
-			// Ladder too long to ever fire within the horizon.
-			cfg.ThrottleAfter = 1 << 30
-		}
-		cfg.KillAfter = 1 << 30 // isolate throttling from killing
-		mgr.SetConfig(cfg)
-		s, err := mgr.Launch(hogSpec("hog"))
+		mgr.SetConfig(sandbox.DefaultConfig(6))
+		spec := hogSpec("hog")
+		spec.BudgetW = budget
+		s, err := mgr.Launch(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Run(1 * psbox.Second)
-		return float64(s.App().CPUTime())
+		sys.Run(50 * psbox.Millisecond)
+		before := s.App().CPUTime()
+		sys.Run(70 * psbox.Millisecond)
+		if s.Kills() != 0 {
+			t.Fatalf("budget %v W: hog killed before 120 ms", budget)
+		}
+		return float64(s.App().CPUTime() - before), s.Throttles()
 	}
-	throttled, free := run(true), run(false)
+	throttled, n := run(0.3)
+	free, m := run(5.9)
+	if n != 1 || m != 0 {
+		t.Fatalf("throttles = %d at 0.3 W and %d at 5.9 W, want 1 and 0", n, m)
+	}
 	if throttled > free*0.5 {
 		t.Fatalf("throttling barely bit: %v vs %v CPU ns", throttled, free)
 	}

@@ -47,18 +47,19 @@ func (s *Session) snapshot(enc *snapshot.Encoder) {
 	enc.F64(s.peakJ)
 }
 
-// Snapshot encodes the manager: the enforcement config, the aggregate
-// stats, and every session in admission order.
+// Snapshot encodes the manager: the capacity and the enforcement ladder,
+// the aggregate stats, and every session in admission order. The ladder
+// is constant; it keeps its slots so the section's wire format is stable.
 func (m *Manager) Snapshot(enc *snapshot.Encoder) {
 	enc.F64(m.cfg.CapacityW)
-	enc.I64(int64(m.cfg.Window))
-	enc.I64(int64(m.cfg.ThrottleAfter))
-	enc.I64(int64(m.cfg.KillAfter))
-	enc.F64(m.cfg.ThrottleDuty)
-	enc.I64(int64(m.cfg.BackoffBase))
-	enc.I64(int64(m.cfg.BackoffCap))
-	enc.I64(int64(m.cfg.BreakerN))
-	enc.I64(int64(m.cfg.BreakerWindow))
+	enc.I64(int64(window))
+	enc.I64(throttleAfter)
+	enc.I64(killAfter)
+	enc.F64(throttleDuty)
+	enc.I64(int64(backoffBase))
+	enc.I64(int64(backoffCap))
+	enc.I64(breakerN)
+	enc.I64(int64(breakerWindow))
 	enc.Bool(m.started)
 	enc.F64(m.reserved)
 	enc.I64(int64(m.lastWindow))

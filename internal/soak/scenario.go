@@ -14,7 +14,7 @@ import (
 func Scenario(seed uint64, horizon sim.Duration) *psbox.System {
 	sys := psbox.NewMobile(seed)
 	sys.EnableTracing()
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
+	sys.EnableAccelWatchdogs()
 
 	Mix(sys)
 

@@ -392,18 +392,12 @@ func (s *System) Run(d Duration) {
 	}
 }
 
-// WatchdogConfig tunes the kernel accelerator watchdogs.
-type WatchdogConfig = accel.WatchdogConfig
-
-// DefaultWatchdogConfig returns the standard watchdog tuning.
-func DefaultWatchdogConfig() WatchdogConfig { return accel.DefaultWatchdogConfig() }
-
 // EnableAccelWatchdogs arms the completion-deadline watchdog on every
 // attached accelerator: wedged devices are reset and their orphaned
 // commands resubmitted with capped exponential backoff, the wasted
 // occupancy billed to the owning sandbox.
-func (s *System) EnableAccelWatchdogs(cfg WatchdogConfig) {
-	s.Kernel.EnableAccelWatchdogs(cfg)
+func (s *System) EnableAccelWatchdogs() {
+	s.Kernel.EnableAccelWatchdogs()
 }
 
 // Now reports the current simulated time.
@@ -471,9 +465,9 @@ func (s *System) Blame(rail string, from, to Time) []obs.Blame {
 // first use: every metered-usage rail feeds a usage-share blame
 // accountant, and the manager enforces per-session power budgets over
 // their summed attribution. The manager starts with DefaultConfig(10 W);
-// tune via SetConfig before the first Launch. Also registers the manager
-// as the fault layer's sandbox-crash target and as the "sandbox"
-// checkpoint section.
+// SetConfig before the first Launch sets another capacity. Also
+// registers the manager as the fault layer's sandbox-crash target and as
+// the "sandbox" checkpoint section.
 func (s *System) Sandboxes() *sandbox.Manager {
 	if s.sandboxes == nil {
 		names := make([]string, 0, len(s.Recorders))

@@ -21,7 +21,7 @@ import (
 func buildCrashSystem(seed uint64, horizon psbox.Duration, kind string,
 	onCkpt func(*psbox.System, psbox.Time)) *psbox.System {
 	sys := psbox.NewMobile(seed)
-	sys.EnableAccelWatchdogs(psbox.DefaultWatchdogConfig())
+	sys.EnableAccelWatchdogs()
 
 	vision := sys.Kernel.NewApp("vision")
 	vision.Spawn("render", 0, psbox.Loop(

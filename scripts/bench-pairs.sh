@@ -4,7 +4,8 @@
 #
 #   scripts/bench-pairs.sh PARENT_REV WORKLOAD PAIRS SECONDS [SEED]
 #
-# PARENT_REV is checked out in a temporary git worktree. Each of PAIRS
+# PARENT_REV is extracted with `git archive` into a temporary directory,
+# removed on exit; the script writes nothing under .git. Each of PAIRS
 # pairs runs `bash _psboxbench/run.sh --workload WORKLOAD --seed SEED
 # --seconds SECONDS --trace 0` once from each tree; even pairs run the
 # parent first, odd pairs the change, so drift in host load hits both
@@ -32,12 +33,12 @@ mkdir -p "$out"
 : >"$out/parent.jsonl"
 : >"$out/change.jsonl"
 cleanup() {
-	git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	git worktree prune
+	rm -rf "$tmp/parent"
 	if [ "$out" != "$tmp" ]; then rm -rf "$tmp"; fi
 }
 trap cleanup EXIT
-git worktree add --quiet --detach "$tmp/parent" "$parent_rev"
+mkdir "$tmp/parent"
+git archive "$parent_rev" | tar -x -C "$tmp/parent"
 
 # run SIDE TREE appends the run's final JSON line to SIDE.jsonl.
 run() {
