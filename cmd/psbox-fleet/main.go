@@ -70,6 +70,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "psbox-fleet: -ms must be positive")
 		return 2
 	}
+	if *shards < 1 {
+		fmt.Fprintln(stderr, "psbox-fleet: -shards must be at least 1")
+		return 2
+	}
+	if *quanta < 2 {
+		fmt.Fprintln(stderr, "psbox-fleet: -quanta must be at least 2")
+		return 2
+	}
 	if *topN < 0 {
 		fmt.Fprintln(stderr, "psbox-fleet: -top must be non-negative")
 		return 2

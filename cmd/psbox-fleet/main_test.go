@@ -86,6 +86,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-ms", "0"},
 		{"-shards", "0"},
 		{"-ms", "1", "-quanta", "2000000"},
+		{"-chaos", "-shards", "0"},
+		{"-chaos", "-quanta", "1"},
+		{"-chaos", "-quanta", "-3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

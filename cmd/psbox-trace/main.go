@@ -91,8 +91,9 @@ func ringSummary(w io.Writer, b *obs.Bus) {
 }
 
 // emitTraced renders the requested views of one traced run onto w. A
-// blame request the run cannot answer — a rail the meter lacks, or a
-// window outside the run — is refused before anything is written.
+// blame request the run cannot answer — a rail the meter lacks, an empty
+// or reversed window, or a window outside the run — is refused before
+// anything is written.
 func emitTraced(w io.Writer, sys *psbox.System, format string, metrics bool, blameRail string, blameFrom, blameLen psbox.Duration) error {
 	from := sim.Time(blameFrom)
 	to := from.Add(blameLen)
@@ -100,6 +101,10 @@ func emitTraced(w io.Writer, sys *psbox.System, format string, metrics bool, bla
 		if !sys.Meter.HasRail(blameRail) {
 			return fmt.Errorf("no rail %q to blame; the meter has %s",
 				blameRail, strings.Join(sys.Meter.Rails(), ", "))
+		}
+		if blameLen <= 0 {
+			return fmt.Errorf("blame window [%g ms, %g ms) is empty; -blame-ms must be positive",
+				blameFrom.Milliseconds(), (blameFrom + blameLen).Milliseconds())
 		}
 		if from < 0 || to > sys.Now() {
 			return fmt.Errorf("blame window [%g ms, %g ms) lies outside the run's %g ms horizon",

@@ -110,8 +110,9 @@ func TestTracedRunIsRepeatable(t *testing.T) {
 }
 
 // TestBlameRequestRefused: a blame request the traced run cannot answer
-// is a one-line error naming the rail, or the window and the horizon, and
-// nothing is written; a window ending exactly at the horizon is answered.
+// is a one-line error naming the rail, or the window (and the horizon it
+// falls outside), and nothing is written; a window ending exactly at the
+// horizon is answered.
 func TestBlameRequestRefused(t *testing.T) {
 	sys := tracedRun(7, 500*psbox.Millisecond)
 	cases := []struct {
@@ -124,6 +125,8 @@ func TestBlameRequestRefused(t *testing.T) {
 		{"window past the horizon", "cpu", 600, 2, "blame window [600 ms, 602 ms) lies outside the run's 500 ms horizon"},
 		{"window straddling the horizon", "cpu", 499, 2, "blame window [499 ms, 501 ms) lies outside the run's 500 ms horizon"},
 		{"window before the run", "cpu", -5, 2, "blame window [-5 ms, -3 ms) lies outside the run's 500 ms horizon"},
+		{"empty window", "cpu", 100, 0, "blame window [100 ms, 100 ms) is empty; -blame-ms must be positive"},
+		{"reversed window", "cpu", 100, -3, "blame window [100 ms, 97 ms) is empty; -blame-ms must be positive"},
 		{"window ending at the horizon", "cpu", 498, 2, ""},
 	}
 	for _, tc := range cases {

@@ -34,8 +34,10 @@ const Magic = "PSBX"
 // Restore rejects checkpoints from other versions.
 const Version uint16 = 1
 
-// An Encoder builds one section's canonical payload. Encoders are
-// single-goroutine: interleaved appends would scramble the wire format.
+// An Encoder appends canonical encodings to one buffer. Checkpoint runs
+// every section's encoder over the checkpoint's own buffer, and Restore
+// runs each in turn over one reused buffer. Encoders are single-goroutine:
+// interleaved appends would scramble the wire format.
 //
 //psbox:confined
 type Encoder struct {
@@ -77,23 +79,20 @@ func (e *Encoder) Bool(v bool) {
 
 // Len appends a non-negative count as uint32. Collections are always
 // count-prefixed; a negative count is a caller bug.
-func (e *Encoder) Len(n int) {
+func (e *Encoder) Len(n int) { e.U32(length(n)) }
+
+// length converts a count or byte length to its u32 wire field.
+func length(n int) uint32 {
 	if n < 0 || int64(n) > math.MaxUint32 {
 		panic(fmt.Sprintf("snapshot: collection length %d out of range", n))
 	}
-	e.U32(uint32(n))
+	return uint32(n)
 }
 
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
 	e.Len(len(s))
 	e.buf = append(e.buf, s...)
-}
-
-// Blob appends a length-prefixed byte slice.
-func (e *Encoder) Blob(b []byte) {
-	e.Len(len(b))
-	e.buf = append(e.buf, b...)
 }
 
 // A decoder reads a checkpoint's framing back for Parse. Errors are
@@ -120,7 +119,9 @@ func (d *decoder) take(n int) []byte {
 		d.err = fmt.Errorf("snapshot: truncated payload: need %d bytes at offset %d, have %d", n, d.off, d.remaining())
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
+	// Capped at n, so an append to the slice copies instead of writing
+	// over the bytes that follow it.
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
@@ -144,16 +145,8 @@ func (d *decoder) u32() uint32 {
 // str reads a length-prefixed string.
 func (d *decoder) str() string { return string(d.take(int(d.u32()))) }
 
-// blob reads a length-prefixed byte slice into a fresh copy.
-func (d *decoder) blob() []byte {
-	b := d.take(int(d.u32()))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+// blob reads a length-prefixed byte slice. It aliases the input.
+func (d *decoder) blob() []byte { return d.take(int(d.u32())) }
 
 func firstDiff(a, b []byte) int {
 	n := len(a)
@@ -173,13 +166,6 @@ func firstDiff(a, b []byte) int {
 type section struct {
 	label string
 	snap  func(*Encoder)
-}
-
-// encode runs the layer's encoder over a fresh payload.
-func (s section) encode() []byte {
-	e := NewEncoder()
-	s.snap(e)
-	return e.Data()
 }
 
 // A Registry is the ordered list of a system's stateful layers. The
@@ -206,20 +192,33 @@ func (r *Registry) Add(label string, snap func(*Encoder)) {
 
 // Checkpoint encodes every registered section into one framed, checksummed
 // checkpoint.
-func (r *Registry) Checkpoint() []byte {
-	e := NewEncoder()
+func (r *Registry) Checkpoint() []byte { return r.CheckpointSized(0) }
+
+// CheckpointSized is Checkpoint for a caller that knows prev, the length
+// of its previous checkpoint. The checkpoint is written in one pass into
+// one buffer allocated at prev plus an eighth: each section's label, a
+// length placeholder, the layer's own encoding straight after it, then
+// the length back-patched. A checkpoint no larger than that allocation
+// never grows its buffer. The buffer is the caller's; nothing keeps it.
+func (r *Registry) CheckpointSized(prev int) []byte {
+	e := &Encoder{buf: make([]byte, 0, prev+prev/8)}
 	e.buf = append(e.buf, Magic...)
 	e.U16(Version)
 	e.Len(len(r.secs))
 	for _, s := range r.secs {
 		e.Str(s.label)
-		e.Blob(s.encode())
+		at := len(e.buf)
+		e.U32(0)
+		s.snap(e)
+		binary.BigEndian.PutUint32(e.buf[at:], length(len(e.buf)-at-4))
 	}
 	e.U32(crc32.ChecksumIEEE(e.buf))
-	return e.Data()
+	return e.buf
 }
 
-// A Section is one decoded checkpoint section.
+// A Section is one decoded checkpoint section. Payload aliases the
+// checkpoint it was parsed from: it is valid as long as that checkpoint
+// is, and writing to it writes to the checkpoint.
 type Section struct {
 	Label   string
 	Payload []byte
@@ -273,8 +272,9 @@ func Parse(data []byte) ([]Section, error) {
 // Restore checks a checkpoint against the registered layers under the
 // replay-twin contract: framing and CRC first, then the section list
 // (labels and order must match the registry exactly), then each layer's
-// live state, encoded from scratch and byte-compared with its payload.
-// The first divergence is reported with its section and offset.
+// live state, encoded anew and byte-compared with its payload in place.
+// The live encodings share one buffer, sized for the largest payload. The
+// first divergence is reported with its section and offset.
 func (r *Registry) Restore(data []byte) error {
 	secs, err := Parse(data)
 	if err != nil {
@@ -283,12 +283,19 @@ func (r *Registry) Restore(data []byte) error {
 	if len(secs) != len(r.secs) {
 		return fmt.Errorf("snapshot: checkpoint has %d sections, registry has %d", len(secs), len(r.secs))
 	}
+	most := 0
+	for _, s := range secs {
+		most = max(most, len(s.Payload))
+	}
+	e := &Encoder{buf: make([]byte, 0, most)}
 	for i, s := range secs {
 		reg := r.secs[i]
 		if s.Label != reg.label {
 			return fmt.Errorf("snapshot: section %d is %q, registry expects %q", i, s.Label, reg.label)
 		}
-		if live := reg.encode(); !bytes.Equal(s.Payload, live) {
+		e.buf = e.buf[:0]
+		reg.snap(e)
+		if live := e.buf; !bytes.Equal(s.Payload, live) {
 			return fmt.Errorf("snapshot: section %q: live state diverges from checkpoint at byte %d (checkpoint %d bytes, live %d bytes)",
 				s.Label, firstDiff(s.Payload, live), len(s.Payload), len(live))
 		}

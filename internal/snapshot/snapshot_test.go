@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"strings"
@@ -23,7 +24,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		e.Bool(true)
 		e.Bool(false)
 		e.Str("hello")
-		e.Blob([]byte{1, 2, 3})
+		e.Len(3)
 	}
 	want := []byte{
 		7,          // U8
@@ -34,7 +35,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		0x40, 0x0c, 0, 0, 0, 0, 0, 0, // F64 3.5
 		1, 0, // Bool true, false
 		0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o', // Str
-		0, 0, 0, 3, 1, 2, 3, // Blob
+		0, 0, 0, 3, // Len
 	}
 	e := NewEncoder()
 	encode(e)
@@ -215,5 +216,113 @@ func TestVerifyReportsOffset(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "byte 15") {
 		t.Errorf("err = %v, want divergence at byte 15", err)
+	}
+}
+
+// referenceCheckpoint frames a registry the way a checkpoint was built
+// before sections were written in place: each payload encoded by a fresh
+// Encoder, then copied after its label and u32 length, then the CRC
+// trailer.
+func referenceCheckpoint(r *Registry) []byte {
+	out := NewEncoder()
+	out.buf = append(out.buf, Magic...)
+	out.U16(Version)
+	out.Len(len(r.secs))
+	for _, s := range r.secs {
+		payload := NewEncoder()
+		s.snap(payload)
+		out.Str(s.label)
+		out.Len(len(payload.Data()))
+		out.buf = append(out.buf, payload.Data()...)
+	}
+	out.U32(crc32.ChecksumIEEE(out.buf))
+	return out.Data()
+}
+
+// seededRegistry registers an empty section, a handful of small ones and
+// one over 1 MiB, in an order and with contents drawn from seed.
+func seededRegistry(seed uint64) *Registry {
+	next := func() uint64 { // splitmix64
+		seed += 0x9e3779b97f4a7c15
+		z := seed
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
+	}
+	sizes := []int{0, 1<<20 + int(next()%4096)}
+	for i := 0; i < 6; i++ {
+		sizes = append(sizes, 1+int(next()%200))
+	}
+	for i := len(sizes) - 1; i > 0; i-- {
+		j := int(next() % uint64(i+1))
+		sizes[i], sizes[j] = sizes[j], sizes[i]
+	}
+	r := NewRegistry()
+	for i, n := range sizes {
+		payload := make([]byte, n)
+		for j := range payload {
+			payload[j] = byte(next())
+		}
+		r.Add(fmt.Sprintf("layer/%d", i), func(e *Encoder) {
+			for _, b := range payload {
+				e.U8(b)
+			}
+		})
+	}
+	return r
+}
+
+// TestCheckpointMatchesReferenceFraming: writing every section in place
+// and back-patching its length yields exactly the bytes of the
+// copy-per-section construction, whatever buffer size the caller asks
+// for, and Restore accepts them. Sized from the previous checkpoint, the
+// buffer never grows.
+func TestCheckpointMatchesReferenceFraming(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := seededRegistry(seed)
+		want := referenceCheckpoint(r)
+		if got := r.Checkpoint(); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: Checkpoint differs from the reference framing: %s", seed, Diff(want, got))
+		}
+		n := len(want)
+		for _, prev := range []int{1, n / 2, n - 1, n, 2 * n} {
+			if got := r.CheckpointSized(prev); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: CheckpointSized(%d) differs from the reference framing: %s", seed, prev, Diff(want, got))
+			}
+		}
+		if got := r.CheckpointSized(n); cap(got) != n+n/8 {
+			t.Errorf("seed %d: CheckpointSized(%d) has capacity %d, want %d: the buffer grew", seed, n, cap(got), n+n/8)
+		}
+		if err := r.Restore(want); err != nil {
+			t.Fatalf("seed %d: Restore of the reference checkpoint: %v", seed, err)
+		}
+	}
+}
+
+// TestParsedPayloadsAliasTheCheckpoint: Parse copies no payload, and
+// each payload's capacity ends where it does, so an append to one copies
+// instead of writing over the checkpoint bytes after it.
+func TestParsedPayloadsAliasTheCheckpoint(t *testing.T) {
+	ckpt := seededRegistry(1).Checkpoint()
+	secs, err := Parse(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(secs))
+	for i, s := range secs {
+		before[i] = bytes.Clone(s.Payload)
+	}
+	for i := range ckpt {
+		ckpt[i] ^= 0xff
+	}
+	for i, s := range secs {
+		for j, b := range s.Payload {
+			if b != before[i][j]^0xff {
+				t.Fatalf("section %q: payload is a copy, not a view of the checkpoint", s.Label)
+			}
+		}
+		if cap(s.Payload) != len(s.Payload) {
+			t.Errorf("section %q: payload capacity %d runs past its %d bytes", s.Label, cap(s.Payload), len(s.Payload))
+		}
 	}
 }

@@ -216,11 +216,13 @@ type System struct {
 	// arm with EnableProfiling.
 	Profile *profile.Profiler
 
-	// Periodic invariant auditing (SetAuditEvery) and scenario-registered
-	// checkpoint sections (RegisterSnapshotter).
+	// Periodic invariant auditing (SetAuditEvery), scenario-registered
+	// checkpoint sections (RegisterSnapshotter) and the length of the
+	// previous checkpoint, which sizes the next one's buffer (Snapshot).
 	auditStop  func()
 	audits     uint64
 	extraSnaps []extraSnap
+	ckptLen    int
 
 	// sandboxes is the lazily-built session manager (Sandboxes); nil until
 	// first requested, so scenarios that never use it keep their exact

@@ -186,6 +186,37 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// TestSnapshotOwnsNoBuffer: a checkpoint depends only on the state it
+// captures, not on the checkpoints its system took before, and a later
+// checkpoint never writes into an earlier one's buffer. Of two identically
+// built systems run to the same instant, one checkpoints at every eighth
+// of the way and the other never; their final checkpoints must be
+// byte-identical, and every checkpoint returned along the way must still
+// equal the clone taken when it was returned.
+func TestSnapshotOwnsNoBuffer(t *testing.T) {
+	horizon := 80 * psbox.Millisecond
+	var taken, clones [][]byte
+	a := buildCrashSystem(7, horizon, "nic-flap", func(s *psbox.System, _ psbox.Time) {
+		ckpt := s.Snapshot()
+		taken = append(taken, ckpt)
+		clones = append(clones, bytes.Clone(ckpt))
+	})
+	b := buildCrashSystem(7, horizon, "nic-flap", nil)
+	a.Run(horizon)
+	b.Run(horizon)
+	if len(taken) != 8 {
+		t.Fatalf("took %d checkpoints along the way, want 8", len(taken))
+	}
+	if sa, sb := a.Snapshot(), b.Snapshot(); !bytes.Equal(sa, sb) {
+		t.Fatalf("the system that checkpointed along the way diverges from its twin: %s", snapshot.Diff(sa, sb))
+	}
+	for i := range taken {
+		if !bytes.Equal(taken[i], clones[i]) {
+			t.Errorf("checkpoint %d changed after later checkpoints were taken", i+1)
+		}
+	}
+}
+
 // TestAuditCadence: the periodic invariant audit fires on schedule.
 func TestAuditCadence(t *testing.T) {
 	sys := psbox.NewAM57(1)

@@ -98,8 +98,13 @@ func (s *System) RegisterSnapshotter(label string, snap func(*snapshot.Encoder))
 
 // Snapshot captures the whole simulated stack as one versioned,
 // CRC-protected checkpoint. Byte-identical across identically-constructed,
-// identically-driven systems.
-func (s *System) Snapshot() []byte { return s.registry().Checkpoint() }
+// identically-driven systems. Its buffer is sized from the previous
+// checkpoint's length, which is all the system keeps of it.
+func (s *System) Snapshot() []byte {
+	ckpt := s.registry().CheckpointSized(s.ckptLen)
+	s.ckptLen = len(ckpt)
+	return ckpt
+}
 
 // Restore verifies a checkpoint against this system under the replay-twin
 // contract: the system must have been rebuilt from the same scenario and
