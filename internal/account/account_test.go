@@ -298,13 +298,22 @@ func (r wholeHistory) Series(owner int, from, to sim.Time, step sim.Duration) []
 
 // randomUsage draws a seeded rail and End-ordered spans over [0,
 // horizon): bursts of overlapping spans of a few owners, short ones
-// inside a window and long ones across many, separated by idle stretches
-// up to 300 windows long; the rail steps between levels, zero included,
-// sometimes several times at one instant.
+// inside a window, long ones across many and some across hundreds,
+// separated by idle stretches up to 300 windows long; the rail steps
+// between levels, zero included, sometimes several times at one instant,
+// on a multiple of w or off one, and sometimes holds for hundreds of
+// windows. Together the long spans and steady stretches make runs of
+// hundreds of identical windows.
 func randomUsage(rnd *sim.Rand, w sim.Duration, horizon sim.Time) (*power.Rail, []obs.Interval) {
 	e := sim.NewEngine()
 	rail := power.NewRail(e, "rail", 1)
 	for at := sim.Time(rnd.Intn(50)); at < horizon; at = at.Add(sim.Duration(1 + rnd.Intn(int(20*w)))) {
+		switch rnd.Intn(4) {
+		case 0:
+			at = at.Add(sim.Duration(100+rnd.Intn(400)) * w)
+		case 1:
+			at = at / sim.Time(w) * sim.Time(w)
+		}
 		levels := make([]power.Watts, 1+rnd.Intn(2))
 		for i := range levels {
 			levels[i] = float64(rnd.Intn(5)) * 0.5
@@ -325,8 +334,11 @@ func randomUsage(rnd *sim.Rand, w sim.Duration, horizon sim.Time) (*power.Rail, 
 		for n := 1 + rnd.Intn(6); n > 0; n-- {
 			start := at.Add(sim.Duration(rnd.Intn(int(3 * w))))
 			length := sim.Duration(1 + rnd.Intn(int(w)))
-			if rnd.Intn(3) == 0 {
+			switch rnd.Intn(6) {
+			case 0, 1:
 				length = sim.Duration(1 + rnd.Intn(int(40*w)))
+			case 2:
+				length = sim.Duration(100+rnd.Intn(400)) * w
 			}
 			if end := min(start.Add(length), horizon); end > start {
 				spans = append(spans, obs.Interval{Start: start, End: end, Owner: 1 + rnd.Intn(4)})
@@ -339,13 +351,16 @@ func randomUsage(rnd *sim.Rand, w sim.Duration, horizon sim.Time) (*power.Rail, 
 }
 
 // TestMatchesWholeHistoryReference checks Shares, AppEnergy and Series
-// bit for bit against the whole-history reference on seeded usage:
-// monitor-like contiguous calls from > 0, each made when
+// bit for bit against the whole-history reference on seeded usage
+// (randomUsage): monitor-like contiguous calls from > 0, each made when
 // only the spans completed by its end are recorded (so spans straddle
 // from), and one-shot calls from 0 and from mid-run over the whole
-// record. Neither from nor to need fall on a window boundary.
+// record. Neither from nor to need fall on a window boundary, and the
+// calls ending short of a boundary clip their last window. Every call
+// replays the windows that repeat, so this also holds the replay to the
+// loop that computes every window.
 func TestMatchesWholeHistoryReference(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
+	for seed := uint64(1); seed <= 120; seed++ {
 		rnd := sim.NewRand(seed)
 		w := sim.Duration(10 + rnd.Intn(30))
 		horizon := sim.Time(w) * sim.Time(1500+rnd.Intn(1500))
@@ -366,7 +381,10 @@ func TestMatchesWholeHistoryReference(t *testing.T) {
 				t.Fatalf("seed %d Series(%d, %d, %d, %d) = %v, want %v", seed, owner, from, to, step, got, want)
 			}
 		}
-		tick := w*sim.Duration(10+rnd.Intn(100)) + sim.Duration(rnd.Intn(int(w)))
+		tick := w * sim.Duration(10+rnd.Intn(100))
+		if rnd.Intn(2) == 0 {
+			tick += sim.Duration(rnd.Intn(int(w)))
+		}
 		next := 0
 		for from := sim.Time(0); from < horizon; from = from.Add(tick) {
 			to := min(from.Add(tick), horizon)
@@ -376,6 +394,7 @@ func TestMatchesWholeHistoryReference(t *testing.T) {
 			check(from, to)
 		}
 		check(0, horizon)
+		check(0, horizon-sim.Time(1+rnd.Intn(int(w)-1)))
 		check(sim.Time(rnd.Int63n(int64(horizon))), horizon)
 	}
 }

@@ -209,8 +209,7 @@ func (v *VirtualMeter) SamplesBetween(from, to sim.Time, dst []power.Sample) []p
 // synthSamples appends constant-power samples on the DAQ tick grid over
 // [lo, hi).
 func (v *VirtualMeter) synthSamples(lo, hi sim.Time, w power.Watts, dst []power.Sample) []power.Sample {
-	first := (int64(lo) + int64(v.period) - 1) / int64(v.period) * int64(v.period)
-	for t := sim.Time(first); t < hi; t = t.Add(v.period) {
+	for t := power.FirstTick(lo, v.period); t < hi; t = t.Add(v.period) {
 		dst = append(dst, power.Sample{T: t, W: w})
 	}
 	return dst

@@ -154,14 +154,14 @@ func (r *Rail) integrate(i int, a, b sim.Time) (Joules, int) {
 	return e, i
 }
 
-// Cursor integrates a rail over windows in increasing time order. It
-// walks the segments forward from one window to the next instead of
-// searching for each window's first segment, and each window's energy
-// is bit for bit what EnergyBetween returns for it.
+// Cursor reads a rail forward over windows and instants in increasing
+// time order. It walks the segments forward from one read to the next
+// instead of searching for each read's first segment, and each answer is
+// bit for bit what the Rail method of the same name returns.
 type Cursor struct {
 	r    *Rail
-	i    int      // segment the last window's walk stopped in
-	done sim.Time // end of the last window
+	i    int      // segment the last read stopped in
+	done sim.Time // end of the last window, or the last instant read
 	end  sim.Time // end of the range the cursor was made for
 }
 
@@ -180,31 +180,81 @@ func (c *Cursor) EnergyBetween(a, b sim.Time) Joules {
 	if b <= a {
 		return 0
 	}
-	if a < c.done || b > c.end {
-		panic(fmt.Sprintf("power: cursor window [%d, %d) outside [%d, %d)", a, b, c.done, c.end))
-	}
+	c.check(a, b)
 	c.done = b
-	segs := c.r.segs
-	for c.i+1 < len(segs) && segs[c.i+1].start <= a {
-		c.i++
-	}
+	c.seek(a)
 	e, i := c.r.integrate(c.i, a, b)
 	c.i = i
 	return e
 }
 
+// Steady reports the power drawn at a and whether the rail draws it over
+// all of [a, b): whether the window lies inside one segment. It moves the
+// cursor to a, which must not be before the end of the previous window or
+// the last instant read, and leaves [a, b) for EnergyBetween to read.
+// Two steady windows of equal width and equal power hold equal energy, bit
+// for bit: each is one product of the power and the width.
+func (c *Cursor) Steady(a, b sim.Time) (Watts, bool) {
+	c.check(a, b)
+	c.done = a
+	c.seek(a)
+	segs := c.r.segs
+	return segs[c.i].w, c.i+1 == len(segs) || segs[c.i+1].start >= b
+}
+
+// PowerAt reads the power drawn at instant t, which must lie within the
+// cursor's range and not before the end of the previous window or the
+// last instant read.
+func (c *Cursor) PowerAt(t sim.Time) Watts {
+	if t < c.done || t >= c.end {
+		panic(fmt.Sprintf("power: cursor read at %d outside [%d, %d)", t, c.done, c.end))
+	}
+	c.done = t
+	c.seek(t)
+	return c.r.segs[c.i].w
+}
+
+func (c *Cursor) check(a, b sim.Time) {
+	if a < c.done || b > c.end {
+		panic(fmt.Sprintf("power: cursor window [%d, %d) outside [%d, %d)", a, b, c.done, c.end))
+	}
+}
+
+// seek moves the cursor forward to the segment containing t.
+func (c *Cursor) seek(t sim.Time) {
+	segs := c.r.segs
+	for c.i+1 < len(segs) && segs[c.i+1].start <= t {
+		c.i++
+	}
+}
+
 // SamplesBetween synthesizes DAQ samples over [a, b) at the given period,
 // appending to dst and returning it. The first sample lands on the first
-// multiple of period ≥ a, mirroring a free-running ADC.
+// multiple of period ≥ a (FirstTick), mirroring a free-running ADC. Each
+// sample's power is PowerAt's, read forward with a Cursor; a sample
+// instant in the future panics.
 func (r *Rail) SamplesBetween(a, b sim.Time, period sim.Duration, dst []Sample) []Sample {
+	first := FirstTick(a, period)
+	if first >= b {
+		return dst
+	}
+	if last := first.Add((b.Sub(first) - 1) / period * period); last > r.eng.Now() {
+		panic("power: PowerAt in the future")
+	}
+	c := Cursor{r: r, i: r.locate(first), done: first, end: b}
+	for t := first; t < b; t = t.Add(period) {
+		dst = append(dst, Sample{T: t, W: c.PowerAt(t)})
+	}
+	return dst
+}
+
+// FirstTick is the first multiple of period at or after t: the first
+// instant a DAQ sampling every period reads at or after t.
+func FirstTick(t sim.Time, period sim.Duration) sim.Time {
 	if period <= 0 {
 		panic("power: non-positive sample period")
 	}
-	first := (int64(a) + int64(period) - 1) / int64(period) * int64(period)
-	for t := sim.Time(first); t < b; t = t.Add(period) {
-		dst = append(dst, Sample{T: t, W: r.PowerAt(t)})
-	}
-	return dst
+	return sim.Time((int64(t) + int64(period) - 1) / int64(period) * int64(period))
 }
 
 // Segments returns the number of recorded power transitions.

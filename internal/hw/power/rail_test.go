@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,10 @@ func TestRailFuturePanics(t *testing.T) {
 		func() { _ = r.EnergyBetween(0, 11) },
 		func() { r.Cursor(0, 11) },
 		func() { c := r.Cursor(0, 5); c.EnergyBetween(0, 6) },
+		func() { c := r.Cursor(0, 5); c.Steady(0, 6) },
+		func() { c := r.Cursor(0, 5); c.PowerAt(5) },
+		func() { c := r.Cursor(0, 5); c.PowerAt(3); c.PowerAt(2) },
+		func() { r.SamplesBetween(0, 14, 4, nil) },
 		func() { r.Set(-1) },
 	} {
 		func() {
@@ -144,32 +149,40 @@ func TestRailFuturePanics(t *testing.T) {
 	}
 }
 
+// randomRail draws a seeded rail over [0, horizon) and returns it with
+// the instants it was set at. Some instants carry several sets that
+// coalesce, some of them back to the power already drawn.
+func randomRail(rnd *sim.Rand, horizon sim.Time) (*Rail, []sim.Time) {
+	e := sim.NewEngine()
+	r := NewRail(e, "r", float64(rnd.Intn(4))*0.5)
+	var bounds []sim.Time
+	for at := sim.Time(1 + rnd.Intn(40)); at < horizon; at = at.Add(sim.Duration(1 + rnd.Intn(40))) {
+		bounds = append(bounds, at)
+		levels := make([]Watts, 1+rnd.Intn(3))
+		for i := range levels {
+			levels[i] = float64(rnd.Intn(4)) * 0.5
+		}
+		e.At(at, func(sim.Time) {
+			for _, w := range levels {
+				r.Set(w)
+			}
+		})
+	}
+	e.Run(horizon)
+	return r, bounds
+}
+
 // TestCursorMatchesEnergyBetween walks seeded rails forward with a cursor
-// and checks every window bit for bit against EnergyBetween. The windows
-// mix the cases the forward walk must get right: windows starting on a
+// and checks every window bit for bit against EnergyBetween, and Steady's
+// answer against PowerAt at every instant of the window. The windows mix
+// the cases the forward walk must get right: windows starting on a
 // segment boundary, gaps between windows, zero-length windows, and a last
-// window ending at now. Some instants carry several sets that coalesce,
-// and some rails are trimmed after the cursor's start.
+// window ending at now. Some rails are trimmed after the cursor's start.
 func TestCursorMatchesEnergyBetween(t *testing.T) {
 	const horizon = sim.Time(1000)
 	for seed := uint64(1); seed <= 200; seed++ {
 		rnd := sim.NewRand(seed)
-		e := sim.NewEngine()
-		r := NewRail(e, "r", float64(rnd.Intn(4))*0.5)
-		var bounds []sim.Time
-		for at := sim.Time(1 + rnd.Intn(40)); at < horizon; at = at.Add(sim.Duration(1 + rnd.Intn(40))) {
-			bounds = append(bounds, at)
-			levels := make([]Watts, 1+rnd.Intn(3))
-			for i := range levels {
-				levels[i] = float64(rnd.Intn(4)) * 0.5
-			}
-			e.At(at, func(sim.Time) {
-				for _, w := range levels {
-					r.Set(w)
-				}
-			})
-		}
-		e.Run(horizon)
+		r, bounds := randomRail(rnd, horizon)
 		from := sim.Time(rnd.Intn(100))
 		if rnd.Intn(4) == 0 {
 			r.TrimBefore(sim.Time(rnd.Intn(200)))
@@ -196,10 +209,50 @@ func TestCursorMatchesEnergyBetween(t *testing.T) {
 			}
 			// Clipping ends the walk with a window [lo, now), lo < now.
 			lo, hi = min(lo, horizon-1), min(hi, horizon)
+			w, steady := c.Steady(lo, hi)
+			flat := true
+			for at := lo; at < hi; at++ {
+				flat = flat && r.PowerAt(at) == w
+			}
+			if w != r.PowerAt(lo) || steady != flat {
+				t.Fatalf("seed %d window [%d, %d): Steady = %v, %v; PowerAt %v, constant %v",
+					seed, lo, hi, w, steady, r.PowerAt(lo), flat)
+			}
 			if got, want := c.EnergyBetween(lo, hi), r.EnergyBetween(lo, hi); got != want {
 				t.Fatalf("seed %d window [%d, %d): cursor %v, EnergyBetween %v", seed, lo, hi, got, want)
 			}
 			lo = hi
+		}
+	}
+}
+
+// TestSamplesBetweenMatchesPowerAt checks SamplesBetween's forward read
+// against one PowerAt search per sample on seeded rails: random periods,
+// ranges starting on and off a tick, ranges ending at now, trimmed rails,
+// and samples appended after ones already in dst.
+func TestSamplesBetweenMatchesPowerAt(t *testing.T) {
+	const horizon = sim.Time(1000)
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		r, _ := randomRail(rnd, horizon)
+		if rnd.Intn(4) == 0 {
+			r.TrimBefore(sim.Time(rnd.Intn(200)))
+		}
+		for range 5 {
+			period := sim.Duration(1 + rnd.Intn(50))
+			a := sim.Time(rnd.Intn(int(horizon)))
+			b := horizon
+			if rnd.Intn(2) == 0 {
+				b = a.Add(sim.Duration(rnd.Intn(int(horizon - a + 1))))
+			}
+			prefix := []Sample{{T: -1, W: 9}}
+			want := slices.Clone(prefix)
+			for at := FirstTick(a, period); at < b; at = at.Add(period) {
+				want = append(want, Sample{T: at, W: r.PowerAt(at)})
+			}
+			if got := r.SamplesBetween(a, b, period, prefix); !slices.Equal(got, want) {
+				t.Fatalf("seed %d SamplesBetween(%d, %d, %d) = %v, want %v", seed, a, b, period, got, want)
+			}
 		}
 	}
 }

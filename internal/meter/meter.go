@@ -71,16 +71,17 @@ func (m *Meter) Rails() []string { return m.names }
 
 // Samples returns the DAQ samples of one rail over [from, to). Samples
 // inside injected dropout windows are missing, exactly as a DAQ overrun
-// loses them.
+// loses them (obs.GapCursor states the rule).
 func (m *Meter) Samples(rail string, from, to sim.Time) []power.Sample {
 	all := m.Rail(rail).SamplesBetween(from, to, DefaultPeriod, nil)
 	drops := m.drops[rail]
 	if len(drops) == 0 {
 		return all
 	}
+	gc := obs.NewGapCursor(drops)
 	kept := all[:0]
 	for _, s := range all {
-		if !m.dropped(rail, s.T) {
+		if dropped, _ := gc.Sample(s.T, DefaultPeriod); !dropped {
 			kept = append(kept, s)
 		}
 	}
@@ -140,11 +141,4 @@ func (m *Meter) Dropouts(rail string, from, to sim.Time) []obs.Gap {
 		out = append(out, w)
 	}
 	return out
-}
-
-// dropped reports whether instant t falls inside a dropout window of rail.
-func (m *Meter) dropped(rail string, t sim.Time) bool {
-	ws := m.drops[rail]
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].To > t })
-	return i < len(ws) && ws[i].From <= t
 }

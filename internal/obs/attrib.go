@@ -21,6 +21,39 @@ type Gap struct {
 	From, To sim.Time
 }
 
+// GapCursor is the one statement of the dropout rule that Meter.Samples,
+// Attribute and the energy profiler share. For sample instants in
+// increasing order it reports whether a gap drops the sample and whether
+// one degrades its window, walking the gaps forward instead of searching
+// them. The gaps must be sorted and disjoint, as Meter.Dropouts returns
+// them.
+type GapCursor struct {
+	gaps []Gap
+	i    int // first gap ending after the last instant asked about
+}
+
+// NewGapCursor starts a cursor over gaps, which it reads in place.
+func NewGapCursor(gaps []Gap) GapCursor { return GapCursor{gaps: gaps} }
+
+// Sample reports whether a gap drops the sample at t, which it does when
+// From ≤ t < To, and whether the sample's window [t, t+period) overlaps a
+// gap, which marks the window degraded; a window that only touches a
+// gap's edge does not overlap it. t must not be before the previous
+// call's.
+func (c *GapCursor) Sample(t sim.Time, period sim.Duration) (dropped, degraded bool) {
+	// Gaps are disjoint and sorted, so they end in order too: the first
+	// gap ending after t is the only one that can hold t, and the only
+	// one that can start before the window ends if it does not.
+	for c.i < len(c.gaps) && c.gaps[c.i].To <= t {
+		c.i++
+	}
+	if c.i == len(c.gaps) {
+		return false, false
+	}
+	from := c.gaps[c.i].From
+	return from <= t, from < t.Add(period)
+}
+
 // Share is one owner's fraction of a sample's power.
 type Share struct {
 	Owner int
@@ -44,12 +77,14 @@ type Blame struct {
 // goes to owner 0. Shares therefore sum to exactly 1.0 per sample, which
 // the edge-case tests assert across context switches, DVFS overlap, and
 // dropout gaps. Samples must come in increasing time order, as
-// Meter.Samples returns them.
+// Meter.Samples returns them, and gaps sorted and disjoint, as
+// Meter.Dropouts returns them.
 func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval, gaps []Gap) []Blame {
 	if period <= 0 {
 		panic("obs: attribution needs a positive sample period")
 	}
 	sw := NewSweep(intervals)
+	gc := NewGapCursor(gaps)
 	out := make([]Blame, 0, len(samples))
 	for _, s := range samples {
 		lo, hi := s.T, s.T.Add(period)
@@ -70,20 +105,10 @@ func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval
 			shares = append(shares, Share{Owner: u.Owner, Frac: frac})
 		}
 		shares[0] = Share{Owner: 0, Frac: idle}
-		out = append(out, Blame{T: s.T, W: s.W, Shares: shares, Degraded: OverlapsGap(lo, hi, gaps)})
+		_, degraded := gc.Sample(s.T, period)
+		out = append(out, Blame{T: s.T, W: s.W, Shares: shares, Degraded: degraded})
 	}
 	return out
-}
-
-// OverlapsGap reports whether the window [lo, hi) overlaps any gap; a
-// window that only touches a gap's edge does not.
-func OverlapsGap(lo, hi sim.Time, gaps []Gap) bool {
-	for _, g := range gaps {
-		if g.From < hi && g.To > lo {
-			return true
-		}
-	}
-	return false
 }
 
 // IntervalsFromEvents extracts the activity intervals for one rail from a

@@ -119,19 +119,34 @@ func compareOwnerComp(a, b ownerComp) int {
 	return cmp.Compare(a.comp, b.comp)
 }
 
-// FoldRail folds one rail's samples against the trace's span events: each
-// sample window [T, T+period) is split among the (owner, component)
-// pairs active in it — occupancy fraction scaled by coverage, the
-// obs.Attribute arithmetic, but with each pair a sweep owner of its own so
-// the tree separates an app's scheduler time from its accelerator commands
-// — and the uncovered remainder is booked to the idle floor. Each share
-// times the sampled watts times the period is the window's energy
-// contribution.
+// FoldRail folds one rail's DAQ samples over [from, to) against the
+// trace's span events: each sample window [T, T+period) is split among
+// the (owner, component) pairs active in it — occupancy fraction scaled
+// by coverage, the obs.Attribute arithmetic, but with each pair a sweep
+// owner of its own so the tree separates an app's scheduler time from its
+// accelerator commands — and the uncovered remainder is booked to the
+// idle floor. Each share times the sampled watts times the period is the
+// window's energy contribution.
 //
-// events is the full trace; FoldRail selects the spans on rail itself.
-// ownerName maps owner IDs to app names (owner 0 is conventionally
-// "kernel"). The fold is a no-op while the profiler is disabled.
-func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Duration,
+// The samples are the ones Meter.Samples returns, read without building
+// them: one every period from the first multiple of period at or after
+// from, each the rail's power at its instant, read forward with a
+// power.Cursor, and none where obs.GapCursor says a gap drops it. gaps
+// must be sorted and disjoint, as Meter.Dropouts returns them, and to
+// must not be in the future.
+//
+// events is the full trace; FoldRail selects the spans on the rail
+// itself. ownerName maps owner IDs to app names (owner 0 is
+// conventionally "kernel"). The fold is a no-op while the profiler is
+// disabled.
+//
+// The fold costs per edge, not per window. A window that repeats the one
+// before it (the sweep's Repeat: contiguous, same width and occupancy)
+// with the same sampled watts and the same degraded flag makes that
+// window's additions again, same accumulator, same value, same order,
+// without computing them, so every weight is bit for bit the sum the
+// full computation makes.
+func (p *Profiler) FoldRail(rail *power.Rail, from, to sim.Time, period sim.Duration,
 	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) {
 	if p == nil || !p.enabled {
 		return
@@ -139,7 +154,8 @@ func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Dura
 	if period <= 0 {
 		panic("profile: fold needs a positive sample period")
 	}
-	onRail := func(ev obs.Event) bool { return ev.Type == obs.TypeSpan && ev.Rail == rail }
+	name := rail.Name()
+	onRail := func(ev obs.Event) bool { return ev.Type == obs.TypeSpan && ev.Rail == name }
 	// Number the pairs in sorted (owner, comp) order and hand the sweep
 	// those numbers as owner IDs: a window's answer then lists the pairs
 	// in that order, so every key's float accumulation sequence is fixed
@@ -161,32 +177,81 @@ func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Dura
 			ivs = append(ivs, obs.Interval{Start: ev.T, End: ev.End, Owner: i})
 		}
 	}
-	keys := make([]Key, len(pairs))
-	for i, oc := range pairs {
-		keys[i] = Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}
+	// Accumulate in a slice, one slot per key, seeded from the tree, and
+	// write back only the slots that received an addition: a +0 still
+	// creates its key, as a map += does. Pair i adds to slot[i], and the
+	// idle floor to slot[len(pairs)]. Owners that share a name share a
+	// key, so they share a slot and add to it in pair order.
+	slot := make([]int, len(pairs)+1)
+	keys := make([]Key, 0, len(slot))
+	sums := make([]float64, 0, len(slot))
+	index := make(map[Key]int, len(slot))
+	for i := range slot {
+		k := Key{App: IdleApp, Comp: IdleComp, Rail: name}
+		if i < len(pairs) {
+			k = Key{App: ownerName(pairs[i].owner), Comp: pairs[i].comp, Rail: name}
+		}
+		j, ok := index[k]
+		if !ok {
+			j = len(keys)
+			index[k] = j
+			keys = append(keys, k)
+			sums = append(sums, p.weights[k])
+		}
+		slot[i] = j
 	}
-	idleKey := Key{App: IdleApp, Comp: IdleComp, Rail: rail}
+	added := make([]bool, len(keys))
 
+	type addition struct {
+		slot int
+		j    float64
+	}
+	last := make([]addition, 0, len(slot)) // the last computed window's additions
+	var lastW power.Watts
+	var lastDegraded bool
 	sw := obs.NewSweep(ivs)
-	for _, s := range samples {
-		lo, hi := s.T, s.T.Add(period)
-		uses, covered := sw.Window(lo, hi)
-		joules := float64(s.W) * period.Seconds()
+	gc := obs.NewGapCursor(gaps)
+	watts := rail.Cursor(from, to)
+	for lo := power.FirstTick(from, period); lo < to; lo = lo.Add(period) {
+		dropped, degraded := gc.Sample(lo, period)
+		if dropped {
+			continue
+		}
+		w, hi := watts.PowerAt(lo), lo.Add(period)
 		p.windows++
-		if obs.OverlapsGap(lo, hi, gaps) {
+		if degraded {
 			p.degraded++
 		}
+		if w == lastW && degraded == lastDegraded && sw.Repeat(lo, hi) {
+			for _, a := range last {
+				sums[a.slot] += a.j
+			}
+			continue
+		}
+		lastW, lastDegraded = w, degraded
+		uses, covered := sw.Window(lo, hi)
+		joules := float64(w) * period.Seconds()
 		var total sim.Duration
 		for _, u := range uses {
 			total += u.Occ
 		}
 		activeFrac := float64(covered) / float64(period)
+		last = last[:0]
 		for _, u := range uses {
 			frac := float64(u.Occ) / float64(total) * activeFrac
-			p.weights[keys[u.Owner]] += float64(frac * joules)
+			last = append(last, addition{slot[u.Owner], float64(frac * joules)})
 		}
 		if idle := float64(period-covered) / float64(period); idle > 0 {
-			p.weights[idleKey] += float64(idle * joules)
+			last = append(last, addition{slot[len(pairs)], float64(idle * joules)})
+		}
+		for _, a := range last {
+			sums[a.slot] += a.j
+			added[a.slot] = true
+		}
+	}
+	for j, k := range keys {
+		if added[j] {
+			p.weights[k] = sums[j]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,11 +20,18 @@ func name(owner int) string {
 	return map[int]string{1: "vision", 2: "maps"}[owner]
 }
 
+// steadyRail returns a rail drawing w watts, its engine run to now.
+func steadyRail(w power.Watts, now sim.Time) *power.Rail {
+	e := sim.NewEngine()
+	r := power.NewRail(e, "cpu", w)
+	e.Run(now)
+	return r
+}
+
 // testFold runs one canonical fold: a 10ms window at 2W with vision
 // running sched for the first half, maps running accel for the last
 // quarter, and the rest uncovered.
 func testFold(p *Profiler) {
-	samples := []power.Sample{{T: 0, W: 2.0}}
 	events := []obs.Event{
 		{Type: obs.TypeSpan, T: 0, End: sim.Time(5 * ms), Cat: obs.CatSched, Owner: 1, Rail: "cpu"},
 		{Type: obs.TypeSpan, T: sim.Time(7500 * sim.Microsecond), End: sim.Time(10 * ms),
@@ -31,7 +39,7 @@ func testFold(p *Profiler) {
 		// A different rail's span must be ignored by a cpu fold.
 		{Type: obs.TypeSpan, T: 0, End: sim.Time(10 * ms), Cat: obs.CatAccel, Owner: 2, Rail: "gpu"},
 	}
-	p.FoldRail("cpu", samples, 10*ms, events, nil, name)
+	p.FoldRail(steadyRail(2.0, sim.Time(10*ms)), 0, sim.Time(10*ms), 10*ms, events, nil, name)
 }
 
 func TestFoldRailSplitsEnergy(t *testing.T) {
@@ -81,9 +89,8 @@ func TestFoldDisabledIsNoOp(t *testing.T) {
 func TestFoldCountsDegradedWindows(t *testing.T) {
 	p := New()
 	p.Enable()
-	samples := []power.Sample{{T: 0, W: 1}, {T: sim.Time(10 * ms), W: 1}}
 	gaps := []obs.Gap{{From: sim.Time(12 * ms), To: sim.Time(15 * ms)}}
-	p.FoldRail("cpu", samples, 10*ms, nil, gaps, name)
+	p.FoldRail(steadyRail(1, sim.Time(20*ms)), 0, sim.Time(20*ms), 10*ms, nil, gaps, name)
 	if p.Windows() != 2 || p.Degraded() != 1 {
 		t.Fatalf("windows=%d degraded=%d, want 2/1", p.Windows(), p.Degraded())
 	}
@@ -193,5 +200,205 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	b.weights[Key{App: "vision", Comp: "sched", Rail: "cpu"}] += 1e-6
 	if err := rb.Restore(ckpt); err == nil {
 		t.Fatal("diverged profiler passed snapshot verification")
+	}
+}
+
+// referenceFold is the fold FoldRail replaced, kept as its reference: a
+// map-keyed loop over a []power.Sample that computes every window in
+// full. It accumulates into ref.weights and counts windows like a
+// Profiler.
+func referenceFold(ref *Profiler, rail string, samples []power.Sample, period sim.Duration,
+	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) {
+	onRail := func(ev obs.Event) bool { return ev.Type == obs.TypeSpan && ev.Rail == rail }
+	var pairs []ownerComp
+	for _, ev := range events {
+		if !onRail(ev) {
+			continue
+		}
+		oc := ownerComp{ev.Owner, ev.Cat}
+		if i, found := slices.BinarySearchFunc(pairs, oc, compareOwnerComp); !found {
+			pairs = slices.Insert(pairs, i, oc)
+		}
+	}
+	var ivs []obs.Interval
+	for _, ev := range events {
+		if onRail(ev) {
+			i, _ := slices.BinarySearchFunc(pairs, ownerComp{ev.Owner, ev.Cat}, compareOwnerComp)
+			ivs = append(ivs, obs.Interval{Start: ev.T, End: ev.End, Owner: i})
+		}
+	}
+	keys := make([]Key, len(pairs))
+	for i, oc := range pairs {
+		keys[i] = Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}
+	}
+	idleKey := Key{App: IdleApp, Comp: IdleComp, Rail: rail}
+
+	sw := obs.NewSweep(ivs)
+	for _, s := range samples {
+		lo, hi := s.T, s.T.Add(period)
+		uses, covered := sw.Window(lo, hi)
+		joules := float64(s.W) * period.Seconds()
+		ref.windows++
+		for _, g := range gaps {
+			if g.From < hi && g.To > lo {
+				ref.degraded++
+				break
+			}
+		}
+		var total sim.Duration
+		for _, u := range uses {
+			total += u.Occ
+		}
+		activeFrac := float64(covered) / float64(period)
+		for _, u := range uses {
+			frac := float64(u.Occ) / float64(total) * activeFrac
+			ref.weights[keys[u.Owner]] += float64(frac * joules)
+		}
+		if idle := float64(period-covered) / float64(period); idle > 0 {
+			ref.weights[idleKey] += float64(idle * joules)
+		}
+	}
+}
+
+// referenceSamples is what Meter.Samples returns, computed the slow way:
+// every tick of the period in [from, to) that no gap holds, each read
+// with its own Rail.PowerAt search.
+func referenceSamples(r *power.Rail, from, to sim.Time, period sim.Duration, gaps []obs.Gap) []power.Sample {
+	var out []power.Sample
+	for t := power.FirstTick(from, period); t < to; t = t.Add(period) {
+		if !slices.ContainsFunc(gaps, func(g obs.Gap) bool { return g.From <= t && t < g.To }) {
+			out = append(out, power.Sample{T: t, W: r.PowerAt(t)})
+		}
+	}
+	return out
+}
+
+// clipGaps clips gaps to [from, to) the way Meter.Dropouts does.
+func clipGaps(gaps []obs.Gap, from, to sim.Time) []obs.Gap {
+	var out []obs.Gap
+	for _, g := range gaps {
+		if g.To > from && g.From < to {
+			out = append(out, obs.Gap{From: max(g.From, from), To: min(g.To, to)})
+		}
+	}
+	return out
+}
+
+// randomInstant draws an instant below horizon: on a window start, one
+// nanosecond either side of one, or anywhere.
+func randomInstant(rnd *sim.Rand, period sim.Duration, horizon sim.Time) sim.Time {
+	tick := sim.Time(rnd.Int63n(int64(horizon)/int64(period))) * sim.Time(period)
+	switch rnd.Intn(4) {
+	case 0:
+		return tick
+	case 1:
+		return min(tick+1, horizon-1)
+	case 2:
+		return max(tick-1, 0)
+	}
+	return sim.Time(rnd.Int63n(int64(horizon)))
+}
+
+// randomFoldCase draws a seeded rail, trace and dropout set over [0,
+// horizon). The rail holds long steady stretches (up to hundreds of
+// windows) and short ones, zero watts among its levels, and changes on
+// window starts, next to them and strictly inside windows. Spans of five
+// owners (two sharing one name, so two pairs share a key) and three
+// components overlap, some run for hundreds of windows, some are empty,
+// and their edges fall on, next to and strictly inside window starts; a
+// second rail's spans and instants on this rail are noise the fold must
+// skip. Some gaps cover a tick and drop its sample; others lie strictly
+// between two ticks and only mark the window holding them degraded.
+func randomFoldCase(rnd *sim.Rand, period sim.Duration, horizon sim.Time) (*power.Rail, []obs.Event, []obs.Gap) {
+	e := sim.NewEngine()
+	levels := []power.Watts{0, 0.5, 1.25, 2, 3.75}
+	r := power.NewRail(e, "cpu", levels[rnd.Intn(len(levels))])
+	for at := sim.Time(0); at < horizon; {
+		stretch := sim.Duration(1 + rnd.Intn(3))
+		if rnd.Intn(2) == 0 {
+			stretch = sim.Duration(50 + rnd.Intn(400))
+		}
+		at = at.Add(stretch * period)
+		switch rnd.Intn(3) {
+		case 0:
+			at = at.Add(1)
+		case 1:
+			at = at.Add(sim.Duration(rnd.Intn(int(period))))
+		}
+		w := levels[rnd.Intn(len(levels))]
+		e.At(at, func(sim.Time) { r.Set(w) })
+	}
+	e.Run(horizon)
+
+	cats := []string{obs.CatSched, obs.CatAccel, obs.CatNet}
+	var events []obs.Event
+	for n := 5 + rnd.Intn(60); n > 0; n-- {
+		start := randomInstant(rnd, period, horizon)
+		length := sim.Duration(rnd.Intn(3 * int(period)))
+		if rnd.Intn(3) == 0 {
+			length = sim.Duration(50+rnd.Intn(500)) * period
+		}
+		ev := obs.Event{Type: obs.TypeSpan, T: start, End: min(start.Add(length), horizon),
+			Cat: cats[rnd.Intn(len(cats))], Owner: rnd.Intn(5), Rail: "cpu"}
+		switch rnd.Intn(8) {
+		case 0:
+			ev.Rail = "gpu"
+		case 1:
+			ev.Type = obs.TypeInstant
+		}
+		events = append(events, ev)
+	}
+
+	var gaps []obs.Gap
+	for at := sim.Time(0); ; {
+		at = power.FirstTick(at, period).Add(sim.Duration(1+rnd.Intn(600)) * period)
+		var g obs.Gap
+		if rnd.Intn(2) == 0 { // holds no tick: only degrades a window
+			g.From = at.Add(1 + sim.Duration(rnd.Intn(int(period)-2)))
+			g.To = g.From.Add(1 + sim.Duration(rnd.Intn(int(at.Add(period).Sub(g.From)))))
+		} else {
+			g.From = at.Add(sim.Duration(rnd.Intn(int(period))))
+			g.To = g.From.Add(sim.Duration(1+rnd.Intn(5)) * period)
+		}
+		if g.To >= horizon {
+			return r, events, gaps
+		}
+		gaps = append(gaps, g)
+		at = g.To
+	}
+}
+
+// TestFoldMatchesReference checks FoldRail bit for bit against the fold
+// it replaced, on seeded rails and traces (randomFoldCase), across two
+// folds split at a random watermark, the second adding into keys the
+// first created. Every entry, Windows and Degraded must be equal after
+// each fold.
+func TestFoldMatchesReference(t *testing.T) {
+	names := []string{"kernel", "vision", "maps", "dup", "dup"}
+	ownerName := func(owner int) string { return names[owner] }
+	for seed := uint64(1); seed <= 240; seed++ {
+		rnd := sim.NewRand(seed)
+		period := sim.Duration(10 + rnd.Intn(30))
+		horizon := sim.Time(period)*sim.Time(300+rnd.Intn(1500)) + sim.Time(rnd.Intn(int(period)))
+		rail, events, gaps := randomFoldCase(rnd, period, horizon)
+		got, want := New(), New()
+		got.Enable()
+		mid := randomInstant(rnd, period, horizon)
+		for _, span := range [][2]sim.Time{{0, mid}, {mid, horizon}} {
+			from, to := span[0], span[1]
+			clipped := clipGaps(gaps, from, to)
+			got.FoldRail(rail, from, to, period, events, clipped, ownerName)
+			referenceFold(want, "cpu", referenceSamples(rail, from, to, period, clipped), period, events, clipped, ownerName)
+			if g, w := got.Entries(), want.Entries(); !slices.Equal(g, w) {
+				t.Fatalf("seed %d fold [%d, %d): entries\n%v\nwant\n%v", seed, from, to, g, w)
+			}
+			if got.Windows() != want.windows || got.Degraded() != want.degraded {
+				t.Fatalf("seed %d fold [%d, %d): windows %d degraded %d, want %d and %d",
+					seed, from, to, got.Windows(), got.Degraded(), want.windows, want.degraded)
+			}
+		}
+		if want.windows == 0 || len(want.weights) == 0 {
+			t.Fatalf("seed %d: nothing folded", seed)
+		}
 	}
 }

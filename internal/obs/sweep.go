@@ -31,7 +31,8 @@ import (
 // NewSweep sorts the interval edges once; Window then carries the open
 // intervals forward from one window to the next instead of rescanning
 // them, does work in proportion to the owners active in the window, and
-// allocates nothing.
+// allocates nothing. Repeat answers a window that repeats the last one
+// without even that: attribution costs per edge, not per window.
 type Sweep struct {
 	ivs    []Interval     // read in place, never modified
 	edges  []uint32       // 2i is the start of ivs[i], 2i+1 its end; sorted by time
@@ -42,8 +43,13 @@ type Sweep struct {
 	occ    []sim.Duration // per rank: occupancy of the current window
 	hit    []int32        // ranks with occupancy in the current window
 	uses   []Use          // the last window's answer
-	next   int            // first edge not yet applied
-	done   sim.Time       // end of the last window
+	// next is 32-bit like the edge indices, so steady packs beside it and
+	// a Sweep stays in the 240-byte size class: the budget monitor builds
+	// one per query.
+	next   uint32       // first edge not yet applied
+	steady bool         // no edge applied since the last window's start, and the line still at its end
+	done   sim.Time     // end of the last window
+	width  sim.Duration // width of the last window
 }
 
 // Use is one owner's occupancy of a window.
@@ -88,22 +94,19 @@ func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
 	if lo < s.done || hi < lo {
 		panic(fmt.Sprintf("obs: sweep window [%d, %d) after one ending at %d", lo, hi, s.done))
 	}
-	s.done = hi
+	s.done, s.width = hi, hi.Sub(lo)
 	for _, r := range s.hit {
 		s.occ[r] = 0
 	}
 	s.hit = s.hit[:0]
 	s.advance(lo)
+	s.steady = true
 	cursor := lo
-	for ; s.next < len(s.edges); s.next++ {
-		e := s.edges[s.next]
-		t := s.at(e)
-		if t >= hi {
-			break
-		}
+	for t := s.pending(); t < hi; t = s.pending() {
 		covered += s.accrue(t.Sub(cursor))
 		cursor = t
-		s.apply(e)
+		s.apply(s.edges[s.next])
+		s.next++
 	}
 	covered += s.accrue(hi.Sub(cursor))
 	slices.Sort(s.hit)
@@ -112,6 +115,22 @@ func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
 		s.uses = append(s.uses, Use{Owner: s.owners[r], Occ: s.occ[r]})
 	}
 	return s.uses, covered
+}
+
+// Repeat reports whether the window [lo, hi) answers exactly what the
+// last window answered, and if so moves the sweep past it: the answer
+// Window returned for the last window stands for this one too, and the
+// next call takes up from hi. It does when the window starts where the
+// last one ended, has its width, and the occupancy did not change from
+// the last window's start up to hi: no edge lay strictly inside the last
+// window, none has been applied since, and the next pending edge is at or
+// after hi. If Repeat reports false, nothing moved; ask Window.
+func (s *Sweep) Repeat(lo, hi sim.Time) bool {
+	if !s.steady || lo != s.done || hi.Sub(lo) != s.width || s.pending() < hi {
+		return false
+	}
+	s.done = hi
+	return true
 }
 
 // NextBusy advances the sweep line to t, which must not be before the
@@ -123,12 +142,15 @@ func (s *Sweep) NextBusy(t sim.Time) (sim.Time, bool) {
 	if t < s.done {
 		panic(fmt.Sprintf("obs: sweep advanced to %d after a window ending at %d", t, s.done))
 	}
+	if t != s.done {
+		s.steady = false
+	}
 	s.done = t
 	s.advance(t)
 	switch {
 	case len(s.active) > 0:
 		return t, true
-	case s.next < len(s.edges):
+	case int(s.next) < len(s.edges):
 		// Nothing is open, so the earliest pending edge is a start.
 		return s.at(s.edges[s.next]), true
 	}
@@ -142,15 +164,27 @@ func (s *Sweep) at(e uint32) sim.Time {
 	return s.ivs[e>>1].End
 }
 
+// pending is the instant of the first edge not yet applied, or the end
+// of time once every edge is.
+func (s *Sweep) pending() sim.Time {
+	if int(s.next) == len(s.edges) {
+		return math.MaxInt64
+	}
+	return s.at(s.edges[s.next])
+}
+
 // advance applies every edge at or before t.
 func (s *Sweep) advance(t sim.Time) {
-	for s.next < len(s.edges) && s.at(s.edges[s.next]) <= t {
+	for int(s.next) < len(s.edges) && s.at(s.edges[s.next]) <= t {
 		s.apply(s.edges[s.next])
 		s.next++
 	}
 }
 
+// apply opens or closes the interval of edge e, which changes the
+// occupancy, so the next window no longer repeats the last one.
 func (s *Sweep) apply(e uint32) {
+	s.steady = false
 	r := s.rank[e>>1]
 	if e&1 == 0 {
 		s.open[r]++

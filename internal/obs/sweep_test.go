@@ -2,6 +2,7 @@ package obs
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -164,4 +165,58 @@ func TestSweepPanicsOnOutOfOrderWindow(t *testing.T) {
 		}
 	}()
 	sw.Window(45, 55)
+}
+
+// TestSweepRepeatAgreesWithWindow checks Repeat on the seeded cases above
+// against a second sweep that answers every window with Window: whenever
+// Repeat reports that a window repeats the last one, the slice Window
+// returned for the last window must hold this window's answer. The
+// windows skip runs as before, and before some windows the accountant's
+// NextBusy moves the line first, applying any edge at the window's start.
+// Half the cases place every edge on a window start, the other half
+// mostly off. Repeat must fire on some windows, or the test proves
+// nothing.
+func TestSweepRepeatAgreesWithWindow(t *testing.T) {
+	repeats, windows := 0, 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		ivs := randomIntervals(rnd, rnd.Intn(40))
+		period := sim.Duration(5 + rnd.Intn(60))
+		horizon := sim.Time(900 + rnd.Intn(400))
+		origin := sim.Time(rnd.Intn(100))
+		if seed%2 == 0 {
+			for i := range ivs {
+				ivs[i].Start = origin + (ivs[i].Start-origin)/sim.Time(period)*sim.Time(period)
+				ivs[i].End = origin + (ivs[i].End-origin)/sim.Time(period)*sim.Time(period)
+			}
+		}
+		sw, ref := NewSweep(ivs), NewSweep(ivs)
+		var last []Use
+		var lastCovered sim.Duration
+		for lo := origin; lo < horizon; lo = lo.Add(period) {
+			if rnd.Intn(8) == 0 {
+				lo = lo.Add(sim.Duration(rnd.Intn(3)) * period)
+				continue
+			}
+			if rnd.Intn(3) == 0 {
+				sw.NextBusy(lo)
+			}
+			hi := min(lo.Add(period), horizon)
+			wantUses, wantCovered := ref.Window(lo, hi)
+			if sw.Repeat(lo, hi) {
+				repeats++
+			} else {
+				last, lastCovered = sw.Window(lo, hi)
+			}
+			windows++
+			if !slices.Equal(last, wantUses) || lastCovered != wantCovered {
+				t.Fatalf("seed %d window [%d, %d): answer %v covering %d, Window says %v covering %d",
+					seed, lo, hi, last, lastCovered, wantUses, wantCovered)
+			}
+		}
+	}
+	if repeats < windows/10 {
+		t.Fatalf("Repeat fired on %d of %d windows", repeats, windows)
+	}
+	t.Logf("Repeat fired on %d of %d windows", repeats, windows)
 }

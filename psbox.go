@@ -424,7 +424,9 @@ func (s *System) EnableProfiling() {
 // spans, then advances the watermark. Call it whenever the profile should
 // catch up (typically once at the end of a scenario, or per quantum in
 // long runs); repeated calls never double-count. The battery rail is the
-// sum of the others and is skipped, mirroring the blame report.
+// sum of the others and is skipped, mirroring the blame report. The fold
+// reads the samples Meter.Samples would return straight off each rail,
+// without building them.
 func (s *System) FoldProfile() {
 	if !s.Profile.Enabled() {
 		return
@@ -445,8 +447,8 @@ func (s *System) FoldProfile() {
 		if rail == "battery" {
 			continue
 		}
-		samples := s.Meter.Samples(rail, from, now)
-		s.Profile.FoldRail(rail, samples, s.Meter.Period(), events, s.Meter.Dropouts(rail, from, now), ownerName)
+		s.Profile.FoldRail(s.Meter.Rail(rail), from, now, s.Meter.Period(), events,
+			s.Meter.Dropouts(rail, from, now), ownerName)
 	}
 	s.Profile.Advance(now)
 }
