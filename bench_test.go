@@ -398,10 +398,9 @@ func TestDisabledTracingZeroDrift(t *testing.T) {
 func TestDisabledProfilingZeroDrift(t *testing.T) {
 	digest := func(profiled bool) string {
 		sys := psbox.NewAM57(7)
+		sys.EnableTracing()
 		if profiled {
 			sys.EnableProfiling()
-		} else {
-			sys.EnableTracing()
 		}
 		var app *psbox.App
 		for j := 0; j < 3; j++ {

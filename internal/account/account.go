@@ -11,6 +11,7 @@ package account
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"psbox/internal/hw/power"
@@ -27,13 +28,16 @@ type Policy int
 // PolicyUsageShare is the usage-share heuristic.
 const PolicyUsageShare Policy = 0
 
-// Recorder accumulates occupancy spans for one rail: one interval per
-// core occupancy, command execution or frame airtime of one app on the
-// metered hardware. Spans of different owners may overlap — that overlap
-// is the entanglement. Drivers feed it via their usage callbacks, each at
-// the instant the span completes, so spans arrive in End order.
+// Recorder is one rail's occupancy record, which every attribution view
+// reads: a span per core occupancy, command execution or frame airtime of
+// one app on the metered hardware, and on the CPU each balloon-residency
+// (coscheduling) window, which the accountant never reads. Spans of
+// different owners may overlap — that overlap is the entanglement. The
+// kernel's usage hooks record each entry when it completes, in End order.
 type Recorder struct {
-	spans []obs.Interval // End ascending
+	Comp    string         `psbox:"config"` // the trace category of the device's spans
+	spans   []obs.Interval // End ascending
+	windows []obs.Interval // balloon-residency windows, End ascending
 }
 
 // Record appends a span; zero- or negative-length spans are dropped. A
@@ -50,12 +54,29 @@ func (r *Recorder) Record(owner int, start, end sim.Time) {
 	r.spans = append(r.spans, obs.Interval{Start: start, End: end, Owner: owner})
 }
 
+// RecordWindow appends a balloon-residency window, dropped like Record's
+// spans when empty. One window is open at a time.
+func (r *Recorder) RecordWindow(owner int, start, end sim.Time) {
+	if end > start {
+		r.windows = append(r.windows, obs.Interval{Start: start, End: end, Owner: owner})
+	}
+}
+
 // Len reports the number of recorded spans.
 func (r *Recorder) Len() int { return len(r.spans) }
 
 // Spans returns the recorded spans (shared slice; callers must not
 // mutate). Trace rendering uses this to draw multiplexing timelines.
 func (r *Recorder) Spans() []obs.Interval { return r.spans }
+
+// Occupancy returns the spans and the balloon windows in a new slice, and
+// Comp: what the profile and the blame fold. A nil Recorder has neither.
+func (r *Recorder) Occupancy() ([]obs.Interval, string) {
+	if r == nil {
+		return nil, ""
+	}
+	return slices.Concat(r.spans, r.windows), r.Comp
+}
 
 // Accountant divides one rail's metered power among apps by usage share.
 type Accountant struct {

@@ -20,6 +20,7 @@ import (
 // attempt of a shard rebuilds the identical event sequence.
 func DefaultScenario(shard int, seed uint64, horizon sim.Duration) *psbox.System {
 	sys := psbox.NewMobile(seed)
+	sys.EnableTracing()
 	sys.EnableProfiling()
 	sys.EnableAccelWatchdogs()
 

@@ -60,9 +60,7 @@ func (k *Kernel) stopTaskCB(core int, t *Task) {
 	if t.remaining < 0 {
 		t.remaining = 0
 	}
-	if now > t.runStart {
-		k.cpuHooks.record(t.app.ID, t.runStart, now)
-	}
+	k.cpuHooks.record(t.app.ID, t.runStart, now)
 	k.running[core] = nil
 	t.core = -1
 	k.cpu.SetCoreBusy(core, false)
@@ -89,9 +87,7 @@ func (k *Kernel) armCompletion(t *Task) {
 		if tt.remaining < 1e-3 {
 			tt.remaining = 0
 		}
-		if now > tt.runStart {
-			k.cpuHooks.record(tt.app.ID, tt.runStart, now)
-		}
+		k.cpuHooks.record(tt.app.ID, tt.runStart, now)
 		tt.runStart = now
 		if tt.remaining > 0 {
 			// Numeric residue: keep running.
@@ -115,9 +111,7 @@ func (k *Kernel) onFreqChange(oldIdx, newIdx int) {
 		if t.remaining < 0 {
 			t.remaining = 0
 		}
-		if now > t.runStart {
-			k.cpuHooks.record(t.app.ID, t.runStart, now)
-		}
+		k.cpuHooks.record(t.app.ID, t.runStart, now)
 		t.runStart = now
 		t.runRate = k.cpu.CyclesPerSecond()
 		if t.compArm.Pending() {

@@ -87,6 +87,7 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		StopTask:      k.onStopTask,
 		CoreIdle:      k.onCoreIdle,
 		GroupResident: k.cpuHooks.resident,
+		Balloon:       k.cpuHooks.balloon,
 	})
 	k.cpu.OnFreqChange(k.onFreqChange)
 	return k
@@ -206,17 +207,18 @@ func (k *Kernel) OnResident(dev string, fn func(appID int, resident bool)) {
 	h.onResident = append(h.onResident, fn)
 }
 
-// SetUsageRecorder installs the accounting recorder for a device's
-// occupancy spans ("cpu", an accelerator's or the NIC's name): task run
-// spans on any core, command execution spans, frame airtime.
-func (k *Kernel) SetUsageRecorder(dev string, fn func(owner int, start, end sim.Time)) {
-	k.hook(dev).usage = fn
+// SetUsageRecorder installs the occupancy record for a device ("cpu", an
+// accelerator's or the NIC's name): usage receives its run, command or
+// airtime spans, and window the CPU's coscheduling windows.
+func (k *Kernel) SetUsageRecorder(dev string, usage, window func(owner int, start, end sim.Time)) {
+	h := k.hook(dev)
+	h.usage, h.window = usage, window
 }
 
-// devHooks is one device's residency hooks and usage recorder.
+// devHooks is one device's residency hooks and occupancy recorder.
 type devHooks struct {
-	onResident []func(appID int, resident bool)
-	usage      func(owner int, start, end sim.Time)
+	onResident    []func(appID int, resident bool)
+	usage, window func(owner int, start, end sim.Time)
 }
 
 func (k *Kernel) hook(dev string) *devHooks {
@@ -237,5 +239,11 @@ func (h *devHooks) resident(appID int, resident bool) {
 func (h *devHooks) record(owner int, start, end sim.Time) {
 	if h.usage != nil {
 		h.usage(owner, start, end)
+	}
+}
+
+func (h *devHooks) balloon(owner int, start, end sim.Time) {
+	if h.window != nil {
+		h.window(owner, start, end)
 	}
 }

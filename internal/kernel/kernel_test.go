@@ -251,7 +251,7 @@ func TestCPUUsageRecorderSeesAllBusyTime(t *testing.T) {
 	var recorded sim.Duration
 	s.k.SetUsageRecorder("cpu", func(owner int, start, end sim.Time) {
 		recorded += end.Sub(start)
-	})
+	}, nil)
 	app := s.k.NewApp("a")
 	app.Spawn("t", 0, Loop(Compute{Cycles: 1.5e6}, Sleep{D: 1 * sim.Millisecond}))
 	s.eng.RunFor(100 * sim.Millisecond)

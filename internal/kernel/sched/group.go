@@ -447,6 +447,9 @@ func (s *Scheduler) endCosched(g *Group) {
 	g.residentTime += s.eng.Now().Sub(g.residentAt)
 	s.shootdowns++
 	s.bus.Span(obs.CatSched, "cosched", g.AppID, int64(total), s.rail, "", g.residentAt)
+	if s.cbs.Balloon != nil {
+		s.cbs.Balloon(g.AppID, g.residentAt, s.eng.Now())
+	}
 	s.bus.Count("sched.shootdowns", 0, s.rail, 1)
 	for _, ge := range g.entities {
 		if !ge.onCPU {

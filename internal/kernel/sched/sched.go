@@ -111,6 +111,9 @@ type Callbacks struct {
 	// (resident=true) or ends. The psbox core uses it for residency
 	// tracking and power-state virtualization.
 	GroupResident func(appID int, resident bool)
+	// Balloon fires when a group's coscheduling window [start, end)
+	// closes; the kernel keeps it in the CPU's occupancy record.
+	Balloon func(appID int, start, end sim.Time)
 }
 
 type coreState struct {

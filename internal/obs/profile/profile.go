@@ -1,5 +1,5 @@
 // Package profile is psbox's sim-time energy profiler: it folds power
-// attribution (blame windows) against the trace's activity spans into a
+// attribution (blame windows) against each rail's occupancy record into a
 // weighted stack tree — app → component → rail — whose weights are
 // joules. Where the blame timeline answers "who drew this sample's
 // power", the profile answers "where did each principal's energy go over
@@ -9,7 +9,7 @@
 // The profiler follows the trace bus's discipline exactly: it is free
 // when off (every fold checks the enabled flag first and a disabled
 // profiler allocates and mutates nothing), it reads only simulated
-// quantities (meter samples, trace spans, dropout gaps — never host
+// quantities (meter samples, occupancy spans, dropout gaps — never host
 // state), and it snapshots like any other stateful layer so a profile
 // survives crash-and-resume byte-for-byte (DESIGN.md §"Fleet
 // observability").
@@ -28,8 +28,8 @@ import (
 )
 
 // Key addresses one stack in the weighted tree: the owning app, the
-// component that was active (the trace category: sched, accel, net, ...),
-// and the power rail the energy was drawn from.
+// component that was active (the rail device's trace category: sched,
+// accel or net), and the power rail the energy was drawn from.
 type Key struct {
 	App  string
 	Comp string
@@ -106,27 +106,14 @@ func (p *Profiler) Degraded() uint64 {
 	return p.degraded
 }
 
-// ownerComp identifies one (owner, component) occupant of a rail.
-type ownerComp struct {
-	owner int
-	comp  string
-}
-
-func compareOwnerComp(a, b ownerComp) int {
-	if c := cmp.Compare(a.owner, b.owner); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.comp, b.comp)
-}
-
-// FoldRail folds one rail's DAQ samples over [from, to) against the
-// trace's span events: each sample window [T, T+period) is split among
-// the (owner, component) pairs active in it — occupancy fraction scaled
-// by coverage, the obs.Attribute arithmetic, but with each pair a sweep
-// owner of its own so the tree separates an app's scheduler time from its
-// accelerator commands — and the uncovered remainder is booked to the
-// idle floor. Each share times the sampled watts times the period is the
-// window's energy contribution.
+// FoldRail folds one rail's DAQ samples over [from, to) against spans,
+// the rail's occupancy intervals in any order: each sample window
+// [T, T+period) is split among the owners active in it — occupancy
+// fraction scaled by coverage, the obs.Attribute arithmetic — and the
+// uncovered remainder is booked to the idle floor. Each share times the
+// sampled watts times the period is the window's energy, booked to the
+// stack (ownerName(owner), comp, rail): comp is the component the spans
+// belong to. The fold is a no-op while the profiler is disabled.
 //
 // The samples are the ones Meter.Samples returns, read without building
 // them: one every period from the first multiple of period at or after
@@ -135,19 +122,12 @@ func compareOwnerComp(a, b ownerComp) int {
 // must be sorted and disjoint, as Meter.Dropouts returns them, and to
 // must not be in the future.
 //
-// events is the full trace; FoldRail selects the spans on the rail
-// itself. ownerName maps owner IDs to app names (owner 0 is
-// conventionally "kernel"). The fold is a no-op while the profiler is
-// disabled.
-//
-// The fold costs per edge, not per window. A window that repeats the one
-// before it (the sweep's Repeat: contiguous, same width and occupancy)
-// with the same sampled watts and the same degraded flag makes that
-// window's additions again, same accumulator, same value, same order,
-// without computing them, so every weight is bit for bit the sum the
-// full computation makes.
-func (p *Profiler) FoldRail(rail *power.Rail, from, to sim.Time, period sim.Duration,
-	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) {
+// The fold costs per edge, not per window: a window that repeats the one
+// before it (the sweep's Repeat) with the same sampled watts and degraded
+// flag makes that window's additions again, in the same order, so every
+// weight is bit for bit the sum the full computation makes.
+func (p *Profiler) FoldRail(rail *power.Rail, comp string, from, to sim.Time, period sim.Duration,
+	spans []obs.Interval, gaps []obs.Gap, ownerName func(int) string) {
 	if p == nil || !p.enabled {
 		return
 	}
@@ -155,41 +135,21 @@ func (p *Profiler) FoldRail(rail *power.Rail, from, to sim.Time, period sim.Dura
 		panic("profile: fold needs a positive sample period")
 	}
 	name := rail.Name()
-	onRail := func(ev obs.Event) bool { return ev.Type == obs.TypeSpan && ev.Rail == name }
-	// Number the pairs in sorted (owner, comp) order and hand the sweep
-	// those numbers as owner IDs: a window's answer then lists the pairs
-	// in that order, so every key's float accumulation sequence is fixed
-	// by sim time and this order, never by map iteration.
-	var pairs []ownerComp
-	for _, ev := range events {
-		if !onRail(ev) {
-			continue
-		}
-		oc := ownerComp{ev.Owner, ev.Cat}
-		if i, found := slices.BinarySearchFunc(pairs, oc, compareOwnerComp); !found {
-			pairs = slices.Insert(pairs, i, oc)
-		}
-	}
-	var ivs []obs.Interval
-	for _, ev := range events {
-		if onRail(ev) {
-			i, _ := slices.BinarySearchFunc(pairs, ownerComp{ev.Owner, ev.Cat}, compareOwnerComp)
-			ivs = append(ivs, obs.Interval{Start: ev.T, End: ev.End, Owner: i})
-		}
-	}
+	sw := obs.NewSweep(spans)
+	owners := sw.Owners()
 	// Accumulate in a slice, one slot per key, seeded from the tree, and
 	// write back only the slots that received an addition: a +0 still
-	// creates its key, as a map += does. Pair i adds to slot[i], and the
-	// idle floor to slot[len(pairs)]. Owners that share a name share a
-	// key, so they share a slot and add to it in pair order.
-	slot := make([]int, len(pairs)+1)
+	// creates its key, as a map += does. owners[i] adds to slot[i], the
+	// idle floor to slot[len(owners)]. Owners that share a name share a
+	// slot and add to it in ascending owner order, as the sweep lists them.
+	slot := make([]int, len(owners)+1)
 	keys := make([]Key, 0, len(slot))
 	sums := make([]float64, 0, len(slot))
 	index := make(map[Key]int, len(slot))
 	for i := range slot {
 		k := Key{App: IdleApp, Comp: IdleComp, Rail: name}
-		if i < len(pairs) {
-			k = Key{App: ownerName(pairs[i].owner), Comp: pairs[i].comp, Rail: name}
+		if i < len(owners) {
+			k = Key{App: ownerName(owners[i]), Comp: comp, Rail: name}
 		}
 		j, ok := index[k]
 		if !ok {
@@ -209,7 +169,6 @@ func (p *Profiler) FoldRail(rail *power.Rail, from, to sim.Time, period sim.Dura
 	last := make([]addition, 0, len(slot)) // the last computed window's additions
 	var lastW power.Watts
 	var lastDegraded bool
-	sw := obs.NewSweep(ivs)
 	gc := obs.NewGapCursor(gaps)
 	watts := rail.Cursor(from, to)
 	for lo := power.FirstTick(from, period); lo < to; lo = lo.Add(period) {
@@ -238,11 +197,12 @@ func (p *Profiler) FoldRail(rail *power.Rail, from, to sim.Time, period sim.Dura
 		activeFrac := float64(covered) / float64(period)
 		last = last[:0]
 		for _, u := range uses {
+			i, _ := slices.BinarySearch(owners, u.Owner)
 			frac := float64(u.Occ) / float64(total) * activeFrac
-			last = append(last, addition{slot[u.Owner], float64(frac * joules)})
+			last = append(last, addition{slot[i], float64(frac * joules)})
 		}
 		if idle := float64(period-covered) / float64(period); idle > 0 {
-			last = append(last, addition{slot[len(pairs)], float64(idle * joules)})
+			last = append(last, addition{slot[len(owners)], float64(idle * joules)})
 		}
 		for _, a := range last {
 			sums[a.slot] += a.j
@@ -280,9 +240,6 @@ func compareEntries(a, b Entry) int {
 	return cmp.Compare(a.Rail, b.Rail)
 }
 
-// SortEntries orders entries canonically by (App, Comp, Rail).
-func SortEntries(es []Entry) { slices.SortFunc(es, compareEntries) }
-
 // MergeEntries folds several entry lists (e.g. per-shard profiles, in
 // ascending shard-ID order) into one canonical list. Identical keys sum;
 // the input order fixes the float summation order.
@@ -302,7 +259,7 @@ func MergeEntries(lists ...[]Entry) []Entry {
 	for _, k := range order {
 		out = append(out, Entry{App: k.App, Comp: k.Comp, Rail: k.Rail, J: sums[k]})
 	}
-	SortEntries(out)
+	slices.SortFunc(out, compareEntries)
 	return out
 }
 
@@ -333,7 +290,7 @@ func WriteTop(w io.Writer, entries []Entry, n int) error {
 		total += e.J
 	}
 	ranked := append([]Entry(nil), entries...)
-	SortEntries(ranked) // canonical order first, so the descending sort's ties are fixed
+	slices.SortFunc(ranked, compareEntries) // canonical order first, so the descending sort's ties are fixed
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].J > ranked[j].J })
 	if n > len(ranked) {
 		n = len(ranked)

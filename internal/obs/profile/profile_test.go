@@ -28,18 +28,15 @@ func steadyRail(w power.Watts, now sim.Time) *power.Rail {
 	return r
 }
 
-// testFold runs one canonical fold: a 10ms window at 2W with vision
-// running sched for the first half, maps running accel for the last
-// quarter, and the rest uncovered.
+// testFold runs one canonical fold: a 10ms window at 2W with vision on
+// the CPU for the first half, maps for the last quarter, and the rest
+// uncovered.
 func testFold(p *Profiler) {
-	events := []obs.Event{
-		{Type: obs.TypeSpan, T: 0, End: sim.Time(5 * ms), Cat: obs.CatSched, Owner: 1, Rail: "cpu"},
-		{Type: obs.TypeSpan, T: sim.Time(7500 * sim.Microsecond), End: sim.Time(10 * ms),
-			Cat: obs.CatAccel, Owner: 2, Rail: "cpu"},
-		// A different rail's span must be ignored by a cpu fold.
-		{Type: obs.TypeSpan, T: 0, End: sim.Time(10 * ms), Cat: obs.CatAccel, Owner: 2, Rail: "gpu"},
+	spans := []obs.Interval{
+		{Start: sim.Time(7500 * sim.Microsecond), End: sim.Time(10 * ms), Owner: 2},
+		{Start: 0, End: sim.Time(5 * ms), Owner: 1},
 	}
-	p.FoldRail(steadyRail(2.0, sim.Time(10*ms)), 0, sim.Time(10*ms), 10*ms, events, nil, name)
+	p.FoldRail(steadyRail(2.0, sim.Time(10*ms)), obs.CatSched, 0, sim.Time(10*ms), 10*ms, spans, nil, name)
 }
 
 func TestFoldRailSplitsEnergy(t *testing.T) {
@@ -51,7 +48,7 @@ func TestFoldRailSplitsEnergy(t *testing.T) {
 	// fraction is 0.75; vision holds 5ms of 7.5ms occupancy, maps 2.5ms.
 	want := map[Key]float64{
 		{App: "vision", Comp: obs.CatSched, Rail: "cpu"}: 0.02 * 0.75 * (5.0 / 7.5),
-		{App: "maps", Comp: obs.CatAccel, Rail: "cpu"}:   0.02 * 0.75 * (2.5 / 7.5),
+		{App: "maps", Comp: obs.CatSched, Rail: "cpu"}:   0.02 * 0.75 * (2.5 / 7.5),
 		{App: IdleApp, Comp: IdleComp, Rail: "cpu"}:      0.02 * 0.25,
 	}
 	es := p.Entries()
@@ -90,7 +87,7 @@ func TestFoldCountsDegradedWindows(t *testing.T) {
 	p := New()
 	p.Enable()
 	gaps := []obs.Gap{{From: sim.Time(12 * ms), To: sim.Time(15 * ms)}}
-	p.FoldRail(steadyRail(1, sim.Time(20*ms)), 0, sim.Time(20*ms), 10*ms, nil, gaps, name)
+	p.FoldRail(steadyRail(1, sim.Time(20*ms)), obs.CatSched, 0, sim.Time(20*ms), 10*ms, nil, gaps, name)
 	if p.Windows() != 2 || p.Degraded() != 1 {
 		t.Fatalf("windows=%d degraded=%d, want 2/1", p.Windows(), p.Degraded())
 	}
@@ -203,33 +200,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// referenceFold is the fold FoldRail replaced, kept as its reference: a
-// map-keyed loop over a []power.Sample that computes every window in
-// full. It accumulates into ref.weights and counts windows like a
-// Profiler.
-func referenceFold(ref *Profiler, rail string, samples []power.Sample, period sim.Duration,
+// referenceFold is FoldRail's reference: a map-keyed loop over a
+// []power.Sample that computes every window in full, with the rail's
+// spans picked out of a whole trace. It accumulates into ref.weights and
+// counts windows like a Profiler.
+func referenceFold(ref *Profiler, rail, comp string, samples []power.Sample, period sim.Duration,
 	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) {
-	onRail := func(ev obs.Event) bool { return ev.Type == obs.TypeSpan && ev.Rail == rail }
-	var pairs []ownerComp
-	for _, ev := range events {
-		if !onRail(ev) {
-			continue
-		}
-		oc := ownerComp{ev.Owner, ev.Cat}
-		if i, found := slices.BinarySearchFunc(pairs, oc, compareOwnerComp); !found {
-			pairs = slices.Insert(pairs, i, oc)
-		}
-	}
 	var ivs []obs.Interval
 	for _, ev := range events {
-		if onRail(ev) {
-			i, _ := slices.BinarySearchFunc(pairs, ownerComp{ev.Owner, ev.Cat}, compareOwnerComp)
-			ivs = append(ivs, obs.Interval{Start: ev.T, End: ev.End, Owner: i})
+		if ev.Type == obs.TypeSpan && ev.Rail == rail {
+			ivs = append(ivs, obs.Interval{Start: ev.T, End: ev.End, Owner: ev.Owner})
 		}
-	}
-	keys := make([]Key, len(pairs))
-	for i, oc := range pairs {
-		keys[i] = Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}
 	}
 	idleKey := Key{App: IdleApp, Comp: IdleComp, Rail: rail}
 
@@ -252,7 +233,7 @@ func referenceFold(ref *Profiler, rail string, samples []power.Sample, period si
 		activeFrac := float64(covered) / float64(period)
 		for _, u := range uses {
 			frac := float64(u.Occ) / float64(total) * activeFrac
-			ref.weights[keys[u.Owner]] += float64(frac * joules)
+			ref.weights[Key{App: ownerName(u.Owner), Comp: comp, Rail: rail}] += float64(frac * joules)
 		}
 		if idle := float64(period-covered) / float64(period); idle > 0 {
 			ref.weights[idleKey] += float64(idle * joules)
@@ -300,16 +281,16 @@ func randomInstant(rnd *sim.Rand, period sim.Duration, horizon sim.Time) sim.Tim
 }
 
 // randomFoldCase draws a seeded rail, trace and dropout set over [0,
-// horizon). The rail holds long steady stretches (up to hundreds of
-// windows) and short ones, zero watts among its levels, and changes on
-// window starts, next to them and strictly inside windows. Spans of five
-// owners (two sharing one name, so two pairs share a key) and three
-// components overlap, some run for hundreds of windows, some are empty,
-// and their edges fall on, next to and strictly inside window starts; a
-// second rail's spans and instants on this rail are noise the fold must
-// skip. Some gaps cover a tick and drop its sample; others lie strictly
+// horizon), and the one component the rail's spans belong to. The rail
+// holds long steady stretches (up to hundreds of windows) and short ones,
+// zero watts among its levels, and changes on window starts, next to them
+// and strictly inside windows. Spans of five owners (two sharing one
+// name, so two owners share a key) overlap, some run for hundreds of
+// windows, some are empty, and their edges fall on, next to and strictly
+// inside window starts; a second rail's spans and instants on this rail
+// are noise the reference must skip. Some gaps cover a tick and drop its sample; others lie strictly
 // between two ticks and only mark the window holding them degraded.
-func randomFoldCase(rnd *sim.Rand, period sim.Duration, horizon sim.Time) (*power.Rail, []obs.Event, []obs.Gap) {
+func randomFoldCase(rnd *sim.Rand, period sim.Duration, horizon sim.Time) (*power.Rail, string, []obs.Event, []obs.Gap) {
 	e := sim.NewEngine()
 	levels := []power.Watts{0, 0.5, 1.25, 2, 3.75}
 	r := power.NewRail(e, "cpu", levels[rnd.Intn(len(levels))])
@@ -331,6 +312,7 @@ func randomFoldCase(rnd *sim.Rand, period sim.Duration, horizon sim.Time) (*powe
 	e.Run(horizon)
 
 	cats := []string{obs.CatSched, obs.CatAccel, obs.CatNet}
+	comp := cats[rnd.Intn(len(cats))]
 	var events []obs.Event
 	for n := 5 + rnd.Intn(60); n > 0; n-- {
 		start := randomInstant(rnd, period, horizon)
@@ -339,7 +321,7 @@ func randomFoldCase(rnd *sim.Rand, period sim.Duration, horizon sim.Time) (*powe
 			length = sim.Duration(50+rnd.Intn(500)) * period
 		}
 		ev := obs.Event{Type: obs.TypeSpan, T: start, End: min(start.Add(length), horizon),
-			Cat: cats[rnd.Intn(len(cats))], Owner: rnd.Intn(5), Rail: "cpu"}
+			Cat: comp, Owner: rnd.Intn(5), Rail: "cpu"}
 		switch rnd.Intn(8) {
 		case 0:
 			ev.Rail = "gpu"
@@ -361,18 +343,18 @@ func randomFoldCase(rnd *sim.Rand, period sim.Duration, horizon sim.Time) (*powe
 			g.To = g.From.Add(sim.Duration(1+rnd.Intn(5)) * period)
 		}
 		if g.To >= horizon {
-			return r, events, gaps
+			return r, comp, events, gaps
 		}
 		gaps = append(gaps, g)
 		at = g.To
 	}
 }
 
-// TestFoldMatchesReference checks FoldRail bit for bit against the fold
-// it replaced, on seeded rails and traces (randomFoldCase), across two
-// folds split at a random watermark, the second adding into keys the
-// first created. Every entry, Windows and Degraded must be equal after
-// each fold.
+// TestFoldMatchesReference checks FoldRail, given the rail's intervals,
+// bit for bit against referenceFold, given the whole trace, on seeded
+// rails and traces (randomFoldCase), across two folds split at a random
+// watermark, the second adding into keys the first created. Every entry,
+// Windows and Degraded must be equal after each fold.
 func TestFoldMatchesReference(t *testing.T) {
 	names := []string{"kernel", "vision", "maps", "dup", "dup"}
 	ownerName := func(owner int) string { return names[owner] }
@@ -380,15 +362,16 @@ func TestFoldMatchesReference(t *testing.T) {
 		rnd := sim.NewRand(seed)
 		period := sim.Duration(10 + rnd.Intn(30))
 		horizon := sim.Time(period)*sim.Time(300+rnd.Intn(1500)) + sim.Time(rnd.Intn(int(period)))
-		rail, events, gaps := randomFoldCase(rnd, period, horizon)
+		rail, comp, events, gaps := randomFoldCase(rnd, period, horizon)
+		spans := obs.IntervalsFromEvents(events, "cpu")
 		got, want := New(), New()
 		got.Enable()
 		mid := randomInstant(rnd, period, horizon)
 		for _, span := range [][2]sim.Time{{0, mid}, {mid, horizon}} {
 			from, to := span[0], span[1]
 			clipped := clipGaps(gaps, from, to)
-			got.FoldRail(rail, from, to, period, events, clipped, ownerName)
-			referenceFold(want, "cpu", referenceSamples(rail, from, to, period, clipped), period, events, clipped, ownerName)
+			got.FoldRail(rail, comp, from, to, period, spans, clipped, ownerName)
+			referenceFold(want, "cpu", comp, referenceSamples(rail, from, to, period, clipped), period, events, clipped, ownerName)
 			if g, w := got.Entries(), want.Entries(); !slices.Equal(g, w) {
 				t.Fatalf("seed %d fold [%d, %d): entries\n%v\nwant\n%v", seed, from, to, g, w)
 			}

@@ -87,6 +87,10 @@ func NewSweep(intervals []Interval) *Sweep {
 	return s
 }
 
+// Owners returns the intervals' distinct owner IDs in ascending order, the
+// order every answer lists them in (shared slice; do not mutate).
+func (s *Sweep) Owners() []int { return s.owners }
+
 // Window advances the sweep to [lo, hi) and returns the occupancy of
 // every owner that used the window, in ascending owner order, and the
 // window's coverage. The returned slice is overwritten by the next call.

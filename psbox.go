@@ -201,19 +201,20 @@ type System struct {
 	// every Run; a violation panics.
 	Invariants *core.Checker
 
-	// Recorders holds per-rail hardware-usage recorders ("cpu", "gpu",
-	// "dsp", "wifi") for the baseline accounting of §6.1.
+	// Recorders holds each metered device's occupancy record by rail
+	// ("cpu", "gpu", "dsp", "wifi"): the usage tracking of §6.1 that every
+	// attribution view reads.
 	Recorders map[string]*account.Recorder
 
 	// Trace is the observability bus: every subsystem emits its spans and
-	// instants here once EnableTracing arms it. Disabled (and free) by
-	// default.
+	// instants here once EnableTracing arms it, for export. Disabled (and
+	// free) by default. No attribution view reads its ring.
 	Trace *obs.Bus
 
 	// Profile is the sim-time energy profiler: FoldProfile folds meter
-	// samples against trace spans into a weighted app → component → rail
-	// tree (see internal/obs/profile). Disabled (and free) by default;
-	// arm with EnableProfiling.
+	// samples against the occupancy records into a weighted app →
+	// component → rail tree (see internal/obs/profile). Disabled (and
+	// free) by default; arm with EnableProfiling.
 	Profile *profile.Profiler
 
 	// Periodic invariant auditing (SetAuditEvery), scenario-registered
@@ -257,14 +258,13 @@ func NewSystem(cfg PlatformConfig) *System {
 	inj.RegisterCPU(cfg.CPU.Name, c)
 	inj.RegisterMeter(m)
 
-	// Every device's usage spans feed a recorder under the device's name.
+	// Every device's usage hooks feed an occupancy record under its rail.
 	recorders := map[string]*account.Recorder{}
-	record := func(dev string) {
-		rec := &account.Recorder{}
-		recorders[dev] = rec
-		k.SetUsageRecorder(dev, rec.Record)
+	record := func(dev, rail, comp string) {
+		recorders[rail] = &account.Recorder{Comp: comp}
+		k.SetUsageRecorder(dev, recorders[rail].Record, recorders[rail].RecordWindow)
 	}
-	record("cpu")
+	record("cpu", cfg.CPU.Name, obs.CatSched)
 
 	attach := func(name string, hw *accelhw.Config) {
 		if hw == nil {
@@ -275,7 +275,7 @@ func NewSystem(cfg PlatformConfig) *System {
 		drv := accel.New(eng, dev, fair.Callbacks{})
 		drv.SetBus(bus)
 		k.AttachAccel(name, drv)
-		record(name)
+		record(name, hw.Name, obs.CatAccel)
 		m.AddRail(dev.Rail())
 	}
 	attach("gpu", cfg.GPU)
@@ -303,7 +303,7 @@ func NewSystem(cfg PlatformConfig) *System {
 		nd := netsched.New(eng, n, fair.Callbacks{})
 		nd.SetBus(bus)
 		k.AttachNet(nd)
-		record(cfg.WiFi.Name)
+		record(cfg.WiFi.Name, cfg.WiFi.Name, obs.CatNet)
 		m.AddRail(n.Rail())
 	}
 
@@ -411,29 +411,28 @@ func (s *System) Now() Time { return s.Eng.Now() }
 // are nil-safe no-ops.
 func (s *System) EnableTracing() { s.Trace.Enable() }
 
-// EnableProfiling arms the energy profiler (and the trace bus it reads
-// from): FoldProfile calls from this point on accumulate the weighted
-// energy tree. Profiling costs nothing while off.
-func (s *System) EnableProfiling() {
-	s.Trace.Enable()
-	s.Profile.Enable()
-}
+// EnableProfiling arms the energy profiler: FoldProfile calls from this
+// point on accumulate the weighted energy tree. It needs no tracing.
+// Profiling costs nothing while off.
+func (s *System) EnableProfiling() { s.Profile.Enable() }
 
 // FoldProfile folds every metered rail's unprocessed sample windows —
-// from the profiler's watermark up to now — against the trace's activity
-// spans, then advances the watermark. Call it whenever the profile should
-// catch up (typically once at the end of a scenario, or per quantum in
-// long runs); repeated calls never double-count. The battery rail is the
-// sum of the others and is skipped, mirroring the blame report. The fold
-// reads the samples Meter.Samples would return straight off each rail,
-// without building them.
+// from the profiler's watermark up to now — against the rail's occupancy
+// record, then advances the watermark; repeated calls never double-count.
+// The battery rail is the sum of the others and is skipped, mirroring the
+// blame report. The fold reads the samples Meter.Samples would return
+// straight off each rail, without building them.
+//
+// A fold books whatever is still open at its instant to the idle floor (a
+// running task's current burst, a resident balloon, an executing command,
+// a frame on air), and the next fold starts past it. So fold once, at the
+// end, as the fleet's Summarize does.
 func (s *System) FoldProfile() {
 	if !s.Profile.Enabled() {
 		return
 	}
 	now := s.Now()
 	from := s.Profile.Through()
-	events := s.Trace.Events()
 	ownerName := func(id int) string {
 		if id == 0 {
 			return "kernel"
@@ -447,22 +446,21 @@ func (s *System) FoldProfile() {
 		if rail == "battery" {
 			continue
 		}
-		s.Profile.FoldRail(s.Meter.Rail(rail), from, now, s.Meter.Period(), events,
+		spans, comp := s.Recorders[rail].Occupancy()
+		s.Profile.FoldRail(s.Meter.Rail(rail), comp, from, now, s.Meter.Period(), spans,
 			s.Meter.Dropouts(rail, from, now), ownerName)
 	}
 	s.Profile.Advance(now)
 }
 
-// Blame joins one rail's DAQ samples with the trace's activity spans into
-// the per-sample attribution timeline of the canonical report: for every
+// Blame joins one rail's DAQ samples with its occupancy record into the
+// per-sample attribution timeline of the canonical report: for every
 // sample window, which principals the drawn power is blamed on. Dropout
 // windows injected on the rail mark overlapping samples degraded.
-// Tracing must have been enabled before the window of interest, or the
-// spans (and thus the blame) are empty.
 func (s *System) Blame(rail string, from, to Time) []obs.Blame {
 	samples := s.Meter.Samples(rail, from, to)
-	intervals := obs.IntervalsFromEvents(s.Trace.Events(), rail)
-	return obs.Attribute(samples, s.Meter.Period(), intervals, s.Meter.Dropouts(rail, from, to))
+	spans, _ := s.Recorders[rail].Occupancy()
+	return obs.Attribute(samples, s.Meter.Period(), spans, s.Meter.Dropouts(rail, from, to))
 }
 
 // Sandboxes returns the system's runtime session manager, building it on

@@ -110,6 +110,30 @@ func TestAccountantUnknownRailPanics(t *testing.T) {
 	sys.Accountant("npu", account.PolicyUsageShare)
 }
 
+// TestRenamedCPUKeepsItsRecord: the CPU's occupancy record is keyed by
+// the CPU rail's name, so a CPU not named "cpu" still feeds the session
+// manager's accountants, the baseline accountant and the profile.
+func TestRenamedCPUKeepsItsRecord(t *testing.T) {
+	cfg := psbox.AM57Config(1)
+	cfg.CPU.Name = "big"
+	sys := psbox.NewSystem(cfg)
+	sys.EnableProfiling()
+	app := sys.Kernel.NewApp("spin")
+	app.Spawn("spin", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}, psbox.Sleep{D: psbox.Millisecond}))
+	sys.Sandboxes()
+	sys.Run(50 * psbox.Millisecond)
+	if e := sys.Accountant("big", account.PolicyUsageShare).AppEnergy(app.ID, 0, sys.Now()); e <= 0 {
+		t.Fatalf("accountant on the renamed CPU rail attributes %v J to the spinning app", e)
+	}
+	sys.FoldProfile()
+	for _, e := range sys.Profile.Entries() {
+		if e.App == app.Name && e.Comp == "sched" && e.Rail == "big" && e.J > 0 {
+			return
+		}
+	}
+	t.Fatalf("no %s;sched;big stack in the profile: %v", app.Name, sys.Profile.Entries())
+}
+
 func TestAccountantSharesAreConsistent(t *testing.T) {
 	sys := psbox.NewAM57(5)
 	a := workload.Install(sys.Kernel, workload.Calib3D(2, false))
