@@ -144,21 +144,16 @@ func (a *Accountant) window() sim.Duration {
 
 // each divides the rail energy of every window of [from, to) by usage
 // share and emits each owner's nonzero share, owners ascending within a
-// window. Windows that drew no energy are skipped without a sweep query;
-// the next query applies their edges.
+// window, windows in time order.
 //
-// Its cost follows what [from, to) contains, not the run's history. A
-// window no span overlaps emits nothing, so each sweeps only the spans
-// ending after from (a suffix, since spans are End-ordered) and jumps
-// from an idle window to the one containing the next busy instant.
-//
-// It also costs per edge, not per window. A window that repeats the last
-// one computed (the sweep's Repeat: contiguous, same width and occupancy)
-// and lies inside one rail segment drawing the same watts as that window
-// did holds the same energy and the same uses. each then skips the rail
-// integration and the sweep query and emits that window's shares again
-// from the energy, uses and total it kept: the same expression of the
-// same operands, so every float is the one the full computation makes.
+// Its cost follows what [from, to) contains, not the run's history, and
+// it costs per edge, not per window. A window no span overlaps emits
+// nothing, so each sweeps only the spans ending after from (a suffix,
+// since spans are End-ordered). The sweep's Runs groups the windows into
+// runs that share one answer; each computes a run's first window in full
+// and emits its shares once per window of the run: the same expression of
+// the same operands, so every float is the one a window-by-window
+// computation makes.
 func (a *Accountant) each(from, to sim.Time, emit func(wStart sim.Time, owner int, e power.Joules)) {
 	if to <= from {
 		return
@@ -167,38 +162,27 @@ func (a *Accountant) each(from, to sim.Time, emit func(wStart sim.Time, owner in
 	rail := a.Rail.Cursor(from, to)
 	spans := a.Rec.spans
 	spans = spans[sort.Search(len(spans), func(i int) bool { return spans[i].End > from }):]
-	sw := obs.NewSweep(spans)
-	var (
-		uses          []obs.Use // the last computed window's answer, kept by Repeat
-		energy, total float64   // and its energy and total usage
-		lastW         power.Watts
-		lastSteady    bool // whether it lay inside one rail segment, drawing lastW
-	)
-	for lo := from; lo < to; lo = lo.Add(w) {
-		next, ok := sw.NextBusy(lo)
-		if !ok || next >= to {
+	var gaps obs.GapCursor // the accountant integrates the rail: no DAQ sample is lost
+	obs.NewSweep(spans).Runs(&rail, &gaps, from, to, w, func(r obs.Run) {
+		if len(r.Uses) == 0 {
 			return
 		}
-		lo = lo.Add(next.Sub(lo) / w * w)
-		hi := min(lo.Add(w), to)
-		watts, steady := rail.Steady(lo, hi)
-		if !steady || !lastSteady || watts != lastW || !sw.Repeat(lo, hi) {
-			lastW, lastSteady = watts, steady
-			if energy = rail.EnergyBetween(lo, hi); energy <= 0 {
-				continue
-			}
-			uses, _ = sw.Window(lo, hi)
-			// Total usage in float seconds, summed in ascending-owner
-			// order: float addition is not associative, so any other
-			// order would move each app's share in the last bits between
-			// seeded runs.
-			total = 0
-			for _, u := range uses {
-				total += u.Occ.Seconds()
+		energy := rail.EnergyBetween(r.Lo, r.Hi)
+		if energy <= 0 {
+			return
+		}
+		// Total usage in float seconds, summed in ascending-owner order:
+		// float addition is not associative, so any other order would
+		// move each app's share in the last bits between seeded runs.
+		var total float64
+		for _, u := range r.Uses {
+			total += u.Occ.Seconds()
+		}
+		for k := range r.N {
+			wStart := r.Lo.Add(sim.Duration(k) * w)
+			for _, u := range r.Uses {
+				emit(wStart, u.Owner, energy*u.Occ.Seconds()/total)
 			}
 		}
-		for _, u := range uses {
-			emit(lo, u.Owner, energy*u.Occ.Seconds()/total)
-		}
-	}
+	})
 }

@@ -177,14 +177,19 @@ func (mgr *Manager) Create(app *kernel.App, hw ...HW) (*Box, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !mgr.m.HasRail(string(h)) {
+		// The CPU scope meters the CPU's rail, whatever the platform
+		// names it.
+		rail := string(h)
+		if h == HWCPU {
+			rail = mgr.k.CPU().Rail().Name()
+		}
+		if !mgr.m.HasRail(rail) {
 			return nil, fmt.Errorf("psbox: scope %q has no metered rail", h)
 		}
 		// A dropout on the scope's DAQ channel blinds every observation
 		// derived from it — including the virtualized per-app rails, which
 		// are reconstructed from the same samples.
-		scope := string(h)
-		gaps := func(a, bnd sim.Time) []obs.Gap { return mgr.m.Dropouts(scope, a, bnd) }
+		gaps := func(a, bnd sim.Time) []obs.Gap { return mgr.m.Dropouts(rail, a, bnd) }
 		switch h {
 		case HWWiFi:
 			// The sandbox observes its own virtual NIC rail; it is
@@ -198,7 +203,7 @@ func (mgr *Manager) Create(app *kernel.App, hw ...HW) (*Box, error) {
 			// rule for off/suspended state.
 			b.vmeters[h] = newVirtualMeter(mgr.k.GPS().OwnerRail(app.ID), idle, mgr.m.Period(), gaps)
 		default:
-			b.vmeters[h] = newVirtualMeter(mgr.m.Rail(string(h)), idle, mgr.m.Period(), gaps)
+			b.vmeters[h] = newVirtualMeter(mgr.m.Rail(rail), idle, mgr.m.Period(), gaps)
 		}
 		b.hw = append(b.hw, h)
 	}

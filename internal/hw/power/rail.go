@@ -9,6 +9,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"psbox/internal/sim"
@@ -180,7 +181,9 @@ func (c *Cursor) EnergyBetween(a, b sim.Time) Joules {
 	if b <= a {
 		return 0
 	}
-	c.check(a, b)
+	if a < c.done || b > c.end {
+		panic(fmt.Sprintf("power: cursor window [%d, %d) outside [%d, %d)", a, b, c.done, c.end))
+	}
 	c.done = b
 	c.seek(a)
 	e, i := c.r.integrate(c.i, a, b)
@@ -188,18 +191,18 @@ func (c *Cursor) EnergyBetween(a, b sim.Time) Joules {
 	return e
 }
 
-// Steady reports the power drawn at a and whether the rail draws it over
-// all of [a, b): whether the window lies inside one segment. It moves the
-// cursor to a, which must not be before the end of the previous window or
-// the last instant read, and leaves [a, b) for EnergyBetween to read.
-// Two steady windows of equal width and equal power hold equal energy, bit
-// for bit: each is one product of the power and the width.
-func (c *Cursor) Steady(a, b sim.Time) (Watts, bool) {
-	c.check(a, b)
-	c.done = a
-	c.seek(a)
-	segs := c.r.segs
-	return segs[c.i].w, c.i+1 == len(segs) || segs[c.i+1].start >= b
+// Segment reads the power drawn at instant t, as PowerAt does, and the
+// instant the rail next changes after t, or the end of time if t lies in
+// the last segment. A window inside [t, next) lies inside one segment, and
+// two such windows of equal width hold equal energy, bit for bit: each is
+// one product of the power and the width. Segment leaves a window starting
+// at t for EnergyBetween to read.
+func (c *Cursor) Segment(t sim.Time) (Watts, sim.Time) {
+	w := c.PowerAt(t)
+	if segs := c.r.segs; c.i+1 < len(segs) {
+		return w, segs[c.i+1].start
+	}
+	return w, math.MaxInt64
 }
 
 // PowerAt reads the power drawn at instant t, which must lie within the
@@ -212,12 +215,6 @@ func (c *Cursor) PowerAt(t sim.Time) Watts {
 	c.done = t
 	c.seek(t)
 	return c.r.segs[c.i].w
-}
-
-func (c *Cursor) check(a, b sim.Time) {
-	if a < c.done || b > c.end {
-		panic(fmt.Sprintf("power: cursor window [%d, %d) outside [%d, %d)", a, b, c.done, c.end))
-	}
 }
 
 // seek moves the cursor forward to the segment containing t.

@@ -132,7 +132,7 @@ func TestRailFuturePanics(t *testing.T) {
 		func() { _ = r.EnergyBetween(0, 11) },
 		func() { r.Cursor(0, 11) },
 		func() { c := r.Cursor(0, 5); c.EnergyBetween(0, 6) },
-		func() { c := r.Cursor(0, 5); c.Steady(0, 6) },
+		func() { c := r.Cursor(0, 5); c.EnergyBetween(0, 4); c.Segment(3) },
 		func() { c := r.Cursor(0, 5); c.PowerAt(5) },
 		func() { c := r.Cursor(0, 5); c.PowerAt(3); c.PowerAt(2) },
 		func() { r.SamplesBetween(0, 14, 4, nil) },
@@ -173,8 +173,9 @@ func randomRail(rnd *sim.Rand, horizon sim.Time) (*Rail, []sim.Time) {
 }
 
 // TestCursorMatchesEnergyBetween walks seeded rails forward with a cursor
-// and checks every window bit for bit against EnergyBetween, and Steady's
-// answer against PowerAt at every instant of the window. The windows mix
+// and checks every window bit for bit against EnergyBetween, and Segment's
+// answer at its start against PowerAt: the power there, and the next
+// instant at which PowerAt reads another. The windows mix
 // the cases the forward walk must get right: windows starting on a
 // segment boundary, gaps between windows, zero-length windows, and a last
 // window ending at now. Some rails are trimmed after the cursor's start.
@@ -209,14 +210,17 @@ func TestCursorMatchesEnergyBetween(t *testing.T) {
 			}
 			// Clipping ends the walk with a window [lo, now), lo < now.
 			lo, hi = min(lo, horizon-1), min(hi, horizon)
-			w, steady := c.Steady(lo, hi)
-			flat := true
-			for at := lo; at < hi; at++ {
-				flat = flat && r.PowerAt(at) == w
+			w, next := c.Segment(lo)
+			change := sim.Time(math.MaxInt64)
+			for at := lo + 1; at < horizon; at++ {
+				if r.PowerAt(at) != r.PowerAt(lo) {
+					change = at
+					break
+				}
 			}
-			if w != r.PowerAt(lo) || steady != flat {
-				t.Fatalf("seed %d window [%d, %d): Steady = %v, %v; PowerAt %v, constant %v",
-					seed, lo, hi, w, steady, r.PowerAt(lo), flat)
+			if w != r.PowerAt(lo) || next != change {
+				t.Fatalf("seed %d window [%d, %d): Segment = %v, %d; PowerAt %v, next change %d",
+					seed, lo, hi, w, next, r.PowerAt(lo), change)
 			}
 			if got, want := c.EnergyBetween(lo, hi), r.EnergyBetween(lo, hi); got != want {
 				t.Fatalf("seed %d window [%d, %d): cursor %v, EnergyBetween %v", seed, lo, hi, got, want)

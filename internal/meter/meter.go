@@ -81,7 +81,7 @@ func (m *Meter) Samples(rail string, from, to sim.Time) []power.Sample {
 	gc := obs.NewGapCursor(drops)
 	kept := all[:0]
 	for _, s := range all {
-		if dropped, _ := gc.Sample(s.T, DefaultPeriod); !dropped {
+		if dropped, _, _ := gc.Sample(s.T, DefaultPeriod); !dropped {
 			kept = append(kept, s)
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"psbox/internal/hw/power"
 	"psbox/internal/sim"
@@ -22,11 +23,11 @@ type Gap struct {
 }
 
 // GapCursor is the one statement of the dropout rule that Meter.Samples,
-// Attribute and the energy profiler share. For sample instants in
-// increasing order it reports whether a gap drops the sample and whether
-// one degrades its window, walking the gaps forward instead of searching
-// them. The gaps must be sorted and disjoint, as Meter.Dropouts returns
-// them.
+// Attribute and Sweep.Runs share. For sample instants in increasing order
+// it reports whether a gap drops the sample and whether one degrades its
+// window, walking the gaps forward instead of searching them. The gaps
+// must be sorted and disjoint, as Meter.Dropouts returns them. The zero
+// GapCursor has no gaps.
 type GapCursor struct {
 	gaps []Gap
 	i    int // first gap ending after the last instant asked about
@@ -38,9 +39,11 @@ func NewGapCursor(gaps []Gap) GapCursor { return GapCursor{gaps: gaps} }
 // Sample reports whether a gap drops the sample at t, which it does when
 // From ≤ t < To, and whether the sample's window [t, t+period) overlaps a
 // gap, which marks the window degraded; a window that only touches a
-// gap's edge does not overlap it. t must not be before the previous
-// call's.
-func (c *GapCursor) Sample(t sim.Time, period sim.Duration) (dropped, degraded bool) {
+// gap's edge does not overlap it. It also reports the first gap bound
+// after t, or the end of time if none: every window from t on that ends
+// at or before that bound gets the same two answers. t must not be before
+// the previous call's.
+func (c *GapCursor) Sample(t sim.Time, period sim.Duration) (dropped, degraded bool, next sim.Time) {
 	// Gaps are disjoint and sorted, so they end in order too: the first
 	// gap ending after t is the only one that can hold t, and the only
 	// one that can start before the window ends if it does not.
@@ -48,10 +51,13 @@ func (c *GapCursor) Sample(t sim.Time, period sim.Duration) (dropped, degraded b
 		c.i++
 	}
 	if c.i == len(c.gaps) {
-		return false, false
+		return false, false, math.MaxInt64
 	}
-	from := c.gaps[c.i].From
-	return from <= t, from < t.Add(period)
+	g := c.gaps[c.i]
+	if next = g.To; g.From > t {
+		next = g.From
+	}
+	return g.From <= t, g.From < t.Add(period), next
 }
 
 // Share is one owner's fraction of a sample's power.
@@ -105,7 +111,7 @@ func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval
 			shares = append(shares, Share{Owner: u.Owner, Frac: frac})
 		}
 		shares[0] = Share{Owner: 0, Frac: idle}
-		_, degraded := gc.Sample(s.T, period)
+		_, degraded, _ := gc.Sample(s.T, period)
 		out = append(out, Blame{T: s.T, W: s.W, Shares: shares, Degraded: degraded})
 	}
 	return out

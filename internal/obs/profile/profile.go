@@ -117,15 +117,16 @@ func (p *Profiler) Degraded() uint64 {
 //
 // The samples are the ones Meter.Samples returns, read without building
 // them: one every period from the first multiple of period at or after
-// from, each the rail's power at its instant, read forward with a
-// power.Cursor, and none where obs.GapCursor says a gap drops it. gaps
-// must be sorted and disjoint, as Meter.Dropouts returns them, and to
-// must not be in the future.
+// from, each the rail's power at its instant, and none where a gap drops
+// it. gaps must be sorted and disjoint, as Meter.Dropouts returns them,
+// and to must not be in the future. Each window is a full period, so the
+// last one may end after to.
 //
-// The fold costs per edge, not per window: a window that repeats the one
-// before it (the sweep's Repeat) with the same sampled watts and degraded
-// flag makes that window's additions again, in the same order, so every
-// weight is bit for bit the sum the full computation makes.
+// The fold costs per edge, not per window: it takes the windows in the
+// sweep's runs, computes a run's first window in full, and makes that
+// window's additions once per window of the run, in the same order, so
+// every weight is bit for bit the sum the window-by-window computation
+// makes.
 func (p *Profiler) FoldRail(rail *power.Rail, comp string, from, to sim.Time, period sim.Duration,
 	spans []obs.Interval, gaps []obs.Gap, ownerName func(int) string) {
 	if p == nil || !p.enabled {
@@ -166,49 +167,39 @@ func (p *Profiler) FoldRail(rail *power.Rail, comp string, from, to sim.Time, pe
 		slot int
 		j    float64
 	}
-	last := make([]addition, 0, len(slot)) // the last computed window's additions
-	var lastW power.Watts
-	var lastDegraded bool
+	adds := make([]addition, 0, len(slot)) // a run's first window's additions, refilled per run
 	gc := obs.NewGapCursor(gaps)
 	watts := rail.Cursor(from, to)
-	for lo := power.FirstTick(from, period); lo < to; lo = lo.Add(period) {
-		dropped, degraded := gc.Sample(lo, period)
-		if dropped {
-			continue
+	sw.Runs(&watts, &gc, power.FirstTick(from, period), power.FirstTick(to, period), period, func(r obs.Run) {
+		if r.Dropped {
+			return
 		}
-		w, hi := watts.PowerAt(lo), lo.Add(period)
-		p.windows++
-		if degraded {
-			p.degraded++
+		p.windows += uint64(r.N)
+		if r.Degraded {
+			p.degraded += uint64(r.N)
 		}
-		if w == lastW && degraded == lastDegraded && sw.Repeat(lo, hi) {
-			for _, a := range last {
-				sums[a.slot] += a.j
-			}
-			continue
-		}
-		lastW, lastDegraded = w, degraded
-		uses, covered := sw.Window(lo, hi)
-		joules := float64(w) * period.Seconds()
+		joules := float64(r.W) * period.Seconds()
 		var total sim.Duration
-		for _, u := range uses {
+		for _, u := range r.Uses {
 			total += u.Occ
 		}
-		activeFrac := float64(covered) / float64(period)
-		last = last[:0]
-		for _, u := range uses {
+		activeFrac := float64(r.Covered) / float64(period)
+		adds = adds[:0]
+		for _, u := range r.Uses {
 			i, _ := slices.BinarySearch(owners, u.Owner)
 			frac := float64(u.Occ) / float64(total) * activeFrac
-			last = append(last, addition{slot[i], float64(frac * joules)})
+			adds = append(adds, addition{slot[i], float64(frac * joules)})
 		}
-		if idle := float64(period-covered) / float64(period); idle > 0 {
-			last = append(last, addition{slot[len(owners)], float64(idle * joules)})
+		if idle := float64(period-r.Covered) / float64(period); idle > 0 {
+			adds = append(adds, addition{slot[len(owners)], float64(idle * joules)})
 		}
-		for _, a := range last {
-			sums[a.slot] += a.j
-			added[a.slot] = true
+		for range r.N {
+			for _, a := range adds {
+				sums[a.slot] += a.j
+				added[a.slot] = true
+			}
 		}
-	}
+	})
 	for j, k := range keys {
 		if added[j] {
 			p.weights[k] = sums[j]

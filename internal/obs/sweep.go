@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"psbox/internal/hw/power"
 	"psbox/internal/sim"
 )
 
@@ -31,8 +32,8 @@ import (
 // NewSweep sorts the interval edges once; Window then carries the open
 // intervals forward from one window to the next instead of rescanning
 // them, does work in proportion to the owners active in the window, and
-// allocates nothing. Repeat answers a window that repeats the last one
-// without even that: attribution costs per edge, not per window.
+// allocates nothing. Runs answers a grid of equal windows once per run of
+// windows that get one answer: attribution costs per edge, not per window.
 type Sweep struct {
 	ivs    []Interval     // read in place, never modified
 	edges  []uint32       // 2i is the start of ivs[i], 2i+1 its end; sorted by time
@@ -43,13 +44,8 @@ type Sweep struct {
 	occ    []sim.Duration // per rank: occupancy of the current window
 	hit    []int32        // ranks with occupancy in the current window
 	uses   []Use          // the last window's answer
-	// next is 32-bit like the edge indices, so steady packs beside it and
-	// a Sweep stays in the 240-byte size class: the budget monitor builds
-	// one per query.
-	next   uint32       // first edge not yet applied
-	steady bool         // no edge applied since the last window's start, and the line still at its end
-	done   sim.Time     // end of the last window
-	width  sim.Duration // width of the last window
+	next   int            // first edge not yet applied
+	done   sim.Time       // end of the last window
 }
 
 // Use is one owner's occupancy of a window.
@@ -98,13 +94,12 @@ func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
 	if lo < s.done || hi < lo {
 		panic(fmt.Sprintf("obs: sweep window [%d, %d) after one ending at %d", lo, hi, s.done))
 	}
-	s.done, s.width = hi, hi.Sub(lo)
+	s.done = hi
 	for _, r := range s.hit {
 		s.occ[r] = 0
 	}
 	s.hit = s.hit[:0]
 	s.advance(lo)
-	s.steady = true
 	cursor := lo
 	for t := s.pending(); t < hi; t = s.pending() {
 		covered += s.accrue(t.Sub(cursor))
@@ -121,44 +116,46 @@ func (s *Sweep) Window(lo, hi sim.Time) (uses []Use, covered sim.Duration) {
 	return s.uses, covered
 }
 
-// Repeat reports whether the window [lo, hi) answers exactly what the
-// last window answered, and if so moves the sweep past it: the answer
-// Window returned for the last window stands for this one too, and the
-// next call takes up from hi. It does when the window starts where the
-// last one ended, has its width, and the occupancy did not change from
-// the last window's start up to hi: no edge lay strictly inside the last
-// window, none has been applied since, and the next pending edge is at or
-// after hi. If Repeat reports false, nothing moved; ask Window.
-func (s *Sweep) Repeat(lo, hi sim.Time) bool {
-	if !s.steady || lo != s.done || hi.Sub(lo) != s.width || s.pending() < hi {
-		return false
-	}
-	s.done = hi
-	return true
+// Run is the answer for a run of equal windows: the first window [Lo, Hi)
+// and the number of windows, N, that step from Lo by its width and each
+// get the answer the first one gets.
+type Run struct {
+	Lo, Hi            sim.Time
+	N                 int
+	Uses              []Use        // as Window returns them, overwritten by the next run
+	Covered           sim.Duration // as Window returns it
+	W                 power.Watts  // the rail's power at Lo
+	Dropped, Degraded bool         // as GapCursor.Sample answers Lo
 }
 
-// NextBusy advances the sweep line to t, which must not be before the
-// end of the last window, and reports the first instant at or after t at
-// which an interval is open, or false if none is open at t or after it.
-// Every window that ends at or before that instant has no uses, so a
-// caller that only folds windows with uses may skip straight past them.
-func (s *Sweep) NextBusy(t sim.Time) (sim.Time, bool) {
-	if t < s.done {
-		panic(fmt.Sprintf("obs: sweep advanced to %d after a window ending at %d", t, s.done))
+// Runs walks the windows [lo, min(lo+w, end)) for lo = first, first+w, …
+// below end, in time order, and yields them in runs of windows that get
+// one answer. It is the one statement of when a window repeats the one
+// before it. A run starting at lo costs one sweep query, one rail read
+// and one gap lookup. Its N windows are those that end at or before the
+// first edge strictly after lo: an interval edge, the start of the
+// rail's next segment, a gap bound, or end. Nothing changes inside them,
+// so each has the first window's uses, coverage, watts and flags, and
+// the rail draws one power across them all, so each holds the first
+// window's energy, bit for bit. N is at least 1: a window with an edge
+// strictly inside it, or clipped at end, is a run of its own.
+//
+// The rail cursor is left at each run's first window, ready for the
+// caller to read it with EnergyBetween. The sweep and gaps must not have
+// been asked about anything after first.
+func (s *Sweep) Runs(rail *power.Cursor, gaps *GapCursor, first, end sim.Time, w sim.Duration, yield func(Run)) {
+	for lo := first; lo < end; {
+		r := Run{Lo: lo, Hi: min(lo.Add(w), end)}
+		s.advance(lo) // the next pending edge is then the first after lo
+		spanEdge := s.pending()
+		var railEdge, gapEdge sim.Time
+		r.W, railEdge = rail.Segment(lo)
+		r.Dropped, r.Degraded, gapEdge = gaps.Sample(lo, r.Hi.Sub(lo))
+		r.Uses, r.Covered = s.Window(lo, r.Hi)
+		r.N = max(1, int(min(spanEdge, railEdge, gapEdge, end).Sub(lo)/w))
+		yield(r)
+		lo = lo.Add(sim.Duration(r.N) * w)
 	}
-	if t != s.done {
-		s.steady = false
-	}
-	s.done = t
-	s.advance(t)
-	switch {
-	case len(s.active) > 0:
-		return t, true
-	case int(s.next) < len(s.edges):
-		// Nothing is open, so the earliest pending edge is a start.
-		return s.at(s.edges[s.next]), true
-	}
-	return 0, false
 }
 
 func (s *Sweep) at(e uint32) sim.Time {
@@ -171,7 +168,7 @@ func (s *Sweep) at(e uint32) sim.Time {
 // pending is the instant of the first edge not yet applied, or the end
 // of time once every edge is.
 func (s *Sweep) pending() sim.Time {
-	if int(s.next) == len(s.edges) {
+	if s.next == len(s.edges) {
 		return math.MaxInt64
 	}
 	return s.at(s.edges[s.next])
@@ -179,16 +176,14 @@ func (s *Sweep) pending() sim.Time {
 
 // advance applies every edge at or before t.
 func (s *Sweep) advance(t sim.Time) {
-	for int(s.next) < len(s.edges) && s.at(s.edges[s.next]) <= t {
+	for s.next < len(s.edges) && s.at(s.edges[s.next]) <= t {
 		s.apply(s.edges[s.next])
 		s.next++
 	}
 }
 
-// apply opens or closes the interval of edge e, which changes the
-// occupancy, so the next window no longer repeats the last one.
+// apply opens or closes the interval of edge e.
 func (s *Sweep) apply(e uint32) {
-	s.steady = false
 	r := s.rank[e>>1]
 	if e&1 == 0 {
 		s.open[r]++

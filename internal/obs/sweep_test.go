@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"psbox/internal/hw/power"
 	"psbox/internal/sim"
 )
 
@@ -111,49 +112,6 @@ func TestSweepMatchesClipReference(t *testing.T) {
 	}
 }
 
-// TestSweepNextBusyAgreesWithWindow walks the seeded cases the way the
-// accountant skips idle stretches: from each window start it asks for the
-// next busy instant, checks against the reference that every window
-// ending at or before it has no uses, then jumps to the window containing
-// it, which must have uses, and checks that window's answer.
-func TestSweepNextBusyAgreesWithWindow(t *testing.T) {
-	for seed := uint64(1); seed <= 200; seed++ {
-		rnd := sim.NewRand(seed)
-		ivs := randomIntervals(rnd, rnd.Intn(40))
-		period := sim.Duration(5 + rnd.Intn(60))
-		horizon := sim.Time(900 + rnd.Intn(400))
-		sw := NewSweep(ivs)
-		for lo := sim.Time(rnd.Intn(100)); lo < horizon; {
-			next, ok := sw.NextBusy(lo)
-			if ok && next < lo {
-				t.Fatalf("seed %d: next busy instant %d before %d", seed, next, lo)
-			}
-			for ; lo < horizon && (!ok || min(lo.Add(period), horizon) <= next); lo = lo.Add(period) {
-				hi := min(lo.Add(period), horizon)
-				if occ, _ := clipReference(ivs, lo, hi); len(occ) != 0 {
-					t.Fatalf("seed %d: window [%d, %d) before next busy instant %d (ok=%v) has uses %v",
-						seed, lo, hi, next, ok, occ)
-				}
-			}
-			if lo >= horizon {
-				break
-			}
-			hi := min(lo.Add(period), horizon)
-			uses, _ := sw.Window(lo, hi)
-			wantOcc, _ := clipReference(ivs, lo, hi)
-			if len(uses) == 0 || len(uses) != len(wantOcc) {
-				t.Fatalf("seed %d window [%d, %d) holding next busy instant %d: uses %v, want %v", seed, lo, hi, next, uses, wantOcc)
-			}
-			for _, u := range uses {
-				if wantOcc[u.Owner] != u.Occ {
-					t.Fatalf("seed %d window [%d, %d): uses %v, want %v", seed, lo, hi, uses, wantOcc)
-				}
-			}
-			lo = hi
-		}
-	}
-}
-
 func TestSweepPanicsOnOutOfOrderWindow(t *testing.T) {
 	sw := NewSweep([]Interval{{Start: 0, End: 50, Owner: 1}})
 	sw.Window(10, 20)
@@ -167,15 +125,194 @@ func TestSweepPanicsOnOutOfOrderWindow(t *testing.T) {
 	sw.Window(45, 55)
 }
 
-// TestSweepRepeatAgreesWithWindow checks Repeat on the seeded cases above
-// against a second sweep that answers every window with Window: whenever
-// Repeat reports that a window repeats the last one, the slice Window
-// returned for the last window must hold this window's answer. The
-// windows skip runs as before, and before some windows the accountant's
-// NextBusy moves the line first, applying any edge at the window's start.
-// Half the cases place every edge on a window start, the other half
-// mostly off. Repeat must fire on some windows, or the test proves
-// nothing.
+// runsRail draws a seeded rail over [0, horizon) that holds steady for
+// stretches of one to a dozen windows of the grid from first, and changes
+// on a window start, next to one or strictly inside a window; some sets
+// coalesce back to the power already drawn.
+func runsRail(rnd *sim.Rand, first sim.Time, period sim.Duration, horizon sim.Time) *power.Rail {
+	e := sim.NewEngine()
+	r := power.NewRail(e, "r", float64(rnd.Intn(4))*0.5)
+	for at := first; ; {
+		at = at.Add(sim.Duration(1+rnd.Intn(12)) * period)
+		switch rnd.Intn(3) {
+		case 0:
+			at = at.Add(1)
+		case 1:
+			at = at.Add(sim.Duration(rnd.Intn(int(period))))
+		}
+		if at >= horizon {
+			break
+		}
+		w := float64(rnd.Intn(4)) * 0.5
+		e.At(at, func(sim.Time) { r.Set(w) })
+	}
+	e.Run(horizon)
+	return r
+}
+
+// runsGaps draws sorted gaps that neither overlap nor touch, as
+// Meter.Dropouts returns them, with bounds on, next to and strictly
+// inside windows of the grid from first: some hold a window start and
+// drop it, some lie between two and only degrade a window.
+func runsGaps(rnd *sim.Rand, first sim.Time, period sim.Duration, horizon sim.Time) []Gap {
+	var gaps []Gap
+	for at := first; ; {
+		from := at.Add(1 + sim.Duration(rnd.Intn(16))*period)
+		switch rnd.Intn(3) {
+		case 0:
+			from = power.FirstTick(from-first, period).Add(sim.Duration(first))
+		case 1:
+			from = from.Add(sim.Duration(rnd.Intn(int(period))))
+		}
+		g := Gap{From: from, To: from.Add(1 + sim.Duration(rnd.Intn(3*int(period))))}
+		if g.To >= horizon {
+			return gaps
+		}
+		gaps = append(gaps, g)
+		at = g.To
+	}
+}
+
+// TestRunsAgreeWithWindow walks seeded cases with Runs and checks every
+// window of every run against what the run stands for: a second sweep's
+// Window, the rail's PowerAt at the window's start and its energy, equal
+// to the first window's, and a scan of the gaps. The runs must tile the
+// grid from first to an end off the grid, whose last window is clipped.
+// On a random half of the runs the test reads the first window with the
+// cursor's EnergyBetween, as the accountant does. Half the cases place
+// every interval edge on a window start. Some run must hold more than one
+// window, or the test proves nothing.
+func TestRunsAgreeWithWindow(t *testing.T) {
+	long, clipped := 0, 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		ivs := randomIntervals(rnd, rnd.Intn(40))
+		period := sim.Duration(5 + rnd.Intn(60))
+		horizon := sim.Time(900 + rnd.Intn(400))
+		first := sim.Time(rnd.Intn(100))
+		if seed%2 == 0 {
+			for i := range ivs {
+				ivs[i].Start = first + (ivs[i].Start-first)/sim.Time(period)*sim.Time(period)
+				ivs[i].End = first + (ivs[i].End-first)/sim.Time(period)*sim.Time(period)
+			}
+		}
+		rail := runsRail(rnd, first, period, horizon)
+		gaps := runsGaps(rnd, first, period, horizon)
+		ref := NewSweep(ivs)
+		cursor := rail.Cursor(first, horizon)
+		gc := NewGapCursor(gaps)
+		lo := first
+		NewSweep(ivs).Runs(&cursor, &gc, first, horizon, period, func(r Run) {
+			if r.Lo != lo || r.N < 1 {
+				t.Fatalf("seed %d: run of %d windows from %d, want one from %d", seed, r.N, r.Lo, lo)
+			}
+			energy := rail.EnergyBetween(r.Lo, r.Hi)
+			if rnd.Intn(2) == 0 {
+				if e := cursor.EnergyBetween(r.Lo, r.Hi); e != energy {
+					t.Fatalf("seed %d window [%d, %d): cursor energy %v, EnergyBetween %v", seed, r.Lo, r.Hi, e, energy)
+				}
+			}
+			for range r.N {
+				hi := min(lo.Add(period), horizon)
+				if hi.Sub(lo) != r.Hi.Sub(r.Lo) {
+					t.Fatalf("seed %d: window [%d, %d) in a run from [%d, %d)", seed, lo, hi, r.Lo, r.Hi)
+				}
+				uses, covered := ref.Window(lo, hi)
+				if !slices.Equal(uses, r.Uses) || covered != r.Covered {
+					t.Fatalf("seed %d window [%d, %d) in a run from %d: %v covering %d, Window says %v covering %d",
+						seed, lo, hi, r.Lo, r.Uses, r.Covered, uses, covered)
+				}
+				if w, e := rail.PowerAt(lo), rail.EnergyBetween(lo, hi); w != r.W || e != energy {
+					t.Fatalf("seed %d window [%d, %d) in a run from %d: %v W and %v J, the rail says %v W and %v J",
+						seed, lo, hi, r.Lo, r.W, energy, w, e)
+				}
+				dropped := slices.ContainsFunc(gaps, func(g Gap) bool { return g.From <= lo && lo < g.To })
+				degraded := slices.ContainsFunc(gaps, func(g Gap) bool { return g.From < hi && lo < g.To })
+				if dropped != r.Dropped || degraded != r.Degraded {
+					t.Fatalf("seed %d window [%d, %d) in a run from %d: dropped %v degraded %v, the gaps say %v and %v",
+						seed, lo, hi, r.Lo, r.Dropped, r.Degraded, dropped, degraded)
+				}
+				if hi.Sub(lo) < period {
+					clipped++
+				}
+				lo = hi
+			}
+			if r.N > 1 {
+				long++
+			}
+		})
+		if lo != horizon {
+			t.Fatalf("seed %d: runs end at %d, want %d", seed, lo, horizon)
+		}
+	}
+	if long == 0 || clipped == 0 {
+		t.Fatalf("%d runs of more than one window, %d clipped windows", long, clipped)
+	}
+	t.Logf("%d runs of more than one window, %d clipped windows", long, clipped)
+}
+
+// steadyRail is a rail that draws one power over [0, horizon), so that
+// only interval edges and the end of the grid end a run of windows.
+func steadyRail(horizon sim.Time) *power.Rail {
+	e := sim.NewEngine()
+	r := power.NewRail(e, "r", 1.5)
+	e.Run(horizon)
+	return r
+}
+
+// TestSweepNextBusyAgreesWithWindow walks the seeded cases the way the
+// accountant skips idle stretches, now one run each: on a steady rail
+// with no gaps, every window of a run without uses has none in the
+// reference, and the window after such a run holds the next busy
+// instant, so it has uses in the reference, unless it is the last
+// window, clipped by the end of the grid. Some idle run must hold more
+// than one window, or the test proves nothing.
+func TestSweepNextBusyAgreesWithWindow(t *testing.T) {
+	skips := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		ivs := randomIntervals(rnd, rnd.Intn(40))
+		period := sim.Duration(5 + rnd.Intn(60))
+		horizon := sim.Time(900 + rnd.Intn(400))
+		first := sim.Time(rnd.Intn(100))
+		cursor := steadyRail(horizon).Cursor(first, horizon)
+		var gaps GapCursor
+		idleEnd := sim.Time(-1) // where the last idle run ended
+		NewSweep(ivs).Runs(&cursor, &gaps, first, horizon, period, func(r Run) {
+			if r.Lo == idleEnd && r.Hi.Sub(r.Lo) == period {
+				if occ, _ := clipReference(ivs, r.Lo, r.Hi); len(occ) == 0 {
+					t.Fatalf("seed %d: window [%d, %d) after an idle run has no uses", seed, r.Lo, r.Hi)
+				}
+			}
+			if len(r.Uses) != 0 {
+				return
+			}
+			for k := range r.N {
+				lo := r.Lo.Add(sim.Duration(k) * period)
+				hi := min(lo.Add(period), horizon)
+				if occ, _ := clipReference(ivs, lo, hi); len(occ) != 0 {
+					t.Fatalf("seed %d: window [%d, %d) of an idle run from %d has uses %v", seed, lo, hi, r.Lo, occ)
+				}
+			}
+			if r.N > 1 {
+				skips++
+			}
+			idleEnd = r.Lo.Add(sim.Duration(r.N) * period)
+		})
+	}
+	if skips == 0 {
+		t.Fatal("no idle run held more than one window")
+	}
+}
+
+// TestSweepRepeatAgreesWithWindow checks the sweep's half of the repeat
+// rule Runs states, on a steady rail with no gaps: every window of a run
+// gets the run's answer from a second sweep's Window, and a run is as
+// long as the rule lets it be, so one window more would reach an
+// interval edge after its start or run past the end of the grid. Half
+// the cases place every edge on a window start, the other half mostly
+// off. At least a tenth of the windows must repeat the one before them,
+// or the test proves nothing.
 func TestSweepRepeatAgreesWithWindow(t *testing.T) {
 	repeats, windows := 0, 0
 	for seed := uint64(1); seed <= 200; seed++ {
@@ -183,40 +320,39 @@ func TestSweepRepeatAgreesWithWindow(t *testing.T) {
 		ivs := randomIntervals(rnd, rnd.Intn(40))
 		period := sim.Duration(5 + rnd.Intn(60))
 		horizon := sim.Time(900 + rnd.Intn(400))
-		origin := sim.Time(rnd.Intn(100))
+		first := sim.Time(rnd.Intn(100))
 		if seed%2 == 0 {
 			for i := range ivs {
-				ivs[i].Start = origin + (ivs[i].Start-origin)/sim.Time(period)*sim.Time(period)
-				ivs[i].End = origin + (ivs[i].End-origin)/sim.Time(period)*sim.Time(period)
+				ivs[i].Start = first + (ivs[i].Start-first)/sim.Time(period)*sim.Time(period)
+				ivs[i].End = first + (ivs[i].End-first)/sim.Time(period)*sim.Time(period)
 			}
 		}
-		sw, ref := NewSweep(ivs), NewSweep(ivs)
-		var last []Use
-		var lastCovered sim.Duration
-		for lo := origin; lo < horizon; lo = lo.Add(period) {
-			if rnd.Intn(8) == 0 {
-				lo = lo.Add(sim.Duration(rnd.Intn(3)) * period)
-				continue
+		ref := NewSweep(ivs)
+		cursor := steadyRail(horizon).Cursor(first, horizon)
+		var gaps GapCursor
+		NewSweep(ivs).Runs(&cursor, &gaps, first, horizon, period, func(r Run) {
+			for k := range r.N {
+				lo := r.Lo.Add(sim.Duration(k) * period)
+				hi := min(lo.Add(period), horizon)
+				uses, covered := ref.Window(lo, hi)
+				if !slices.Equal(uses, r.Uses) || covered != r.Covered {
+					t.Fatalf("seed %d window [%d, %d) in a run from %d: %v covering %d, Window says %v covering %d",
+						seed, lo, hi, r.Lo, r.Uses, r.Covered, uses, covered)
+				}
 			}
-			if rnd.Intn(3) == 0 {
-				sw.NextBusy(lo)
+			beyond := r.Lo.Add(sim.Duration(r.N+1) * period)
+			edge := slices.ContainsFunc(ivs, func(iv Interval) bool {
+				return iv.End > iv.Start && (r.Lo < iv.Start && iv.Start < beyond || r.Lo < iv.End && iv.End < beyond)
+			})
+			if !edge && beyond <= horizon {
+				t.Fatalf("seed %d: run of %d windows from %d stops before the edge or end after %d", seed, r.N, r.Lo, beyond)
 			}
-			hi := min(lo.Add(period), horizon)
-			wantUses, wantCovered := ref.Window(lo, hi)
-			if sw.Repeat(lo, hi) {
-				repeats++
-			} else {
-				last, lastCovered = sw.Window(lo, hi)
-			}
-			windows++
-			if !slices.Equal(last, wantUses) || lastCovered != wantCovered {
-				t.Fatalf("seed %d window [%d, %d): answer %v covering %d, Window says %v covering %d",
-					seed, lo, hi, last, lastCovered, wantUses, wantCovered)
-			}
-		}
+			windows += r.N
+			repeats += r.N - 1
+		})
 	}
 	if repeats < windows/10 {
-		t.Fatalf("Repeat fired on %d of %d windows", repeats, windows)
+		t.Fatalf("%d of %d windows repeat the one before them", repeats, windows)
 	}
-	t.Logf("Repeat fired on %d of %d windows", repeats, windows)
+	t.Logf("%d of %d windows repeat the one before them", repeats, windows)
 }

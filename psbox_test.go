@@ -112,16 +112,31 @@ func TestAccountantUnknownRailPanics(t *testing.T) {
 
 // TestRenamedCPUKeepsItsRecord: the CPU's occupancy record is keyed by
 // the CPU rail's name, so a CPU not named "cpu" still feeds the session
-// manager's accountants, the baseline accountant and the profile.
+// manager's accountants, the baseline accountant and the profile; and the
+// cpu scope meters that rail, so a box reads what it reads on a CPU named
+// "cpu".
 func TestRenamedCPUKeepsItsRecord(t *testing.T) {
-	cfg := psbox.AM57Config(1)
-	cfg.CPU.Name = "big"
-	sys := psbox.NewSystem(cfg)
-	sys.EnableProfiling()
-	app := sys.Kernel.NewApp("spin")
-	app.Spawn("spin", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}, psbox.Sleep{D: psbox.Millisecond}))
-	sys.Sandboxes()
-	sys.Run(50 * psbox.Millisecond)
+	spin := func(cpu string) (*psbox.System, *psbox.App, *psbox.Box) {
+		cfg := psbox.AM57Config(1)
+		cfg.CPU.Name = cpu
+		sys := psbox.NewSystem(cfg)
+		sys.EnableProfiling()
+		app := sys.Kernel.NewApp("spin")
+		app.Spawn("spin", 0, psbox.Loop(psbox.Compute{Cycles: 1e6}, psbox.Sleep{D: psbox.Millisecond}))
+		box, err := sys.Sandbox.Create(app, psbox.HWCPU)
+		if err != nil {
+			t.Fatalf("box on a CPU named %q: %v", cpu, err)
+		}
+		box.Enter()
+		sys.Sandboxes()
+		sys.Run(50 * psbox.Millisecond)
+		return sys, app, box
+	}
+	sys, app, box := spin("big")
+	_, _, ref := spin("cpu")
+	if got, want := box.Read(), ref.Read(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("box on a CPU named big reads %v J, on one named cpu %v J", got, want)
+	}
 	if e := sys.Accountant("big", account.PolicyUsageShare).AppEnergy(app.ID, 0, sys.Now()); e <= 0 {
 		t.Fatalf("accountant on the renamed CPU rail attributes %v J to the spinning app", e)
 	}
